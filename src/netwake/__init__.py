@@ -16,7 +16,6 @@ from .cascade import (
     Schedule,
     SeedRule,
     SeedSpec,
-    activation_rule,
     initial_state,
     run_cascade,
     select_seed,
@@ -50,6 +49,7 @@ from .geometry import (
 )
 from .montecarlo import (
     ExperimentConfig,
+    Replicate,
     ReplicateStats,
     SweepAxis,
     SweepRow,
@@ -59,6 +59,7 @@ from .montecarlo import (
     estimate_upper_boundary,
     fit_boundary_exponent,
     replicate_rng,
+    run_replicate,
     run_replicates,
     sweep,
 )
@@ -83,12 +84,12 @@ __all__ = [
     "Network", "ComponentLabeling", "build_rgg", "components", "giant_fraction",
     "LinkScheme", "SchemeKind", "add_long_range_links", "mean_long_range_length",
     "CascadeParams", "CascadeState", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",
-    "activation_rule", "initial_state", "select_seed", "step_synchronous",
+    "initial_state", "select_seed", "step_synchronous",
     "step_asynchronous", "run_cascade",
     "EnergyModel", "EnergyReport", "local_broadcast_energy", "long_range_energy",
     "account_cascade", "predicted_energy",
-    "ExperimentConfig", "ReplicateStats", "SweepAxis", "SweepSpec", "SweepRow",
-    "run_replicates", "sweep", "cell_config", "replicate_rng",
+    "ExperimentConfig", "Replicate", "ReplicateStats", "SweepAxis", "SweepSpec", "SweepRow",
+    "run_replicate", "run_replicates", "sweep", "cell_config", "replicate_rng",
     "estimate_onset_range", "estimate_upper_boundary", "fit_boundary_exponent",
     "parse_config",
     "NetwakeError", "ConfigError", "SeedingError", "LinkSamplingError",

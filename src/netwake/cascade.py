@@ -154,23 +154,6 @@ def select_seed(net: Network, spec: SeedSpec, rng: np.random.Generator) -> np.nd
     return np.unique(np.array([hub, int(pair[0]), int(pair[1])], dtype=np.int64))
 
 
-def activation_rule(active_neighbors: int, degree: int, phi: float) -> bool:
-    """Threshold rule for a single node.
-
-    Activates iff the node has at least one active neighbor and the active
-    fraction active_neighbors/degree is >= phi. Isolated nodes (degree 0)
-    never activate, and neither does a node with zero active neighbors
-    (there is no message to receive), even at phi = 0.
-    """
-    if active_neighbors > degree:
-        raise ValueError(f"active neighbor count {active_neighbors} exceeds degree {degree}")
-    if active_neighbors < 0:
-        raise ValueError(f"active neighbor count must be nonnegative, got {active_neighbors}")
-    if degree == 0 or active_neighbors == 0:
-        return False
-    return active_neighbors / degree >= phi
-
-
 def _neighbors_of(net: Network, nodes: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of the given nodes."""
     starts = net.adj_indptr[nodes]

@@ -22,21 +22,22 @@ import sys
 import time
 from dataclasses import replace
 
-from .cascade import run_cascade
 from .config import describe_config, describe_sweep, parse_config
-from .energy import account_cascade
-from .errors import ConfigError, EstimationError, ExperimentInfeasibleError, NetwakeError
+from .errors import (
+    ConfigError,
+    EstimationError,
+    ExperimentInfeasibleError,
+    LinkSamplingError,
+    SeedingError,
+)
 from .montecarlo import (
-    ExperimentConfig,
     SweepSpec,
     estimate_onset_range,
     estimate_upper_boundary,
     fit_boundary_exponent,
-    replicate_rng,
-    run_replicates,
+    run_replicate,
     sweep,
 )
-from .network import build_rgg
 from .output import (
     RunManifest,
     emit_sweep_csv,
@@ -45,8 +46,6 @@ from .output import (
     snapshot_path,
     summarize_run,
 )
-from .smallworld import add_long_range_links
-from .geometry import sample_points
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -83,12 +82,13 @@ def _load(path: str, seed_override: int | None):
     with open(path) as fh:
         parsed = parse_config(fh.read())
     if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigError("--seed must be nonnegative")
-        if isinstance(parsed, SweepSpec):
-            parsed = replace(parsed, base=replace(parsed.base, master_seed=seed_override))
-        else:
-            parsed = replace(parsed, master_seed=seed_override)
+        try:
+            if isinstance(parsed, SweepSpec):
+                parsed = replace(parsed, base=replace(parsed.base, master_seed=seed_override))
+            else:
+                parsed = replace(parsed, master_seed=seed_override)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return parsed
 
 
@@ -100,16 +100,24 @@ def _n_jobs(threads: int) -> int:
     return threads
 
 
+def _sweep_reporting_flags(spec: SweepSpec, threads: int):
+    """Run the sweep and name every flagged cell on stderr."""
+    rows = sweep(spec, n_jobs=_n_jobs(threads))
+    for row in rows:
+        if row.error:
+            cell = f"{spec.axis1.name}={row.axis1_value}"
+            if spec.axis2 is not None:
+                cell += f" {spec.axis2.name}={row.axis2_value}"
+            print(f"netwake: cell {cell} flagged: {row.error}", file=sys.stderr)
+    return rows
+
+
 def _cmd_sweep(args) -> int:
     spec = _load(args.config, args.seed)
     if not isinstance(spec, SweepSpec):
         raise ConfigError("the sweep subcommand needs a config with a sweep block")
     start = time.monotonic()
-    rows = sweep(spec, n_jobs=_n_jobs(args.threads))
-    for row in rows:
-        if row.error:
-            print(f"netwake: cell {spec.axis1.name}={row.axis1_value} flagged: {row.error}",
-                  file=sys.stderr)
+    rows = _sweep_reporting_flags(spec, args.threads)
     manifest = RunManifest(
         config_echo=describe_sweep(spec),
         master_seed=spec.base.master_seed,
@@ -127,14 +135,8 @@ def _cmd_run(args) -> int:
     if isinstance(cfg, SweepSpec):
         raise ConfigError("the run subcommand needs a config without a sweep block")
     start = time.monotonic()
-    rng = replicate_rng(cfg.master_seed, 0)
-    points = sample_points(cfg.n_nodes, cfg.side, rng)
-    net = build_rgg(points, cfg.radio_range, cfg.side, cfg.boundary)
-    if cfg.scheme.p_r > 0:
-        net = add_long_range_links(net, cfg.scheme, rng)
-    outcome = run_cascade(net, cfg.cascade, rng)
-    report = account_cascade(net, outcome, cfg.energy_model())
-    print(summarize_run(outcome, report))
+    rep = run_replicate(cfg, 0)
+    print(summarize_run(rep.outcome, rep.report))
 
     if args.snapshots:
         try:
@@ -147,10 +149,10 @@ def _cmd_run(args) -> int:
                 config_echo=describe_config(cfg),
                 master_seed=cfg.master_seed,
                 duration_s=time.monotonic() - start,
-                row_count=net.n_nodes,
+                row_count=rep.net.n_nodes,
             )
             path = snapshot_path(base, step)
-            export_snapshot(net, outcome.active_at(step), step, path, manifest)
+            export_snapshot(rep.net, rep.outcome.active_at(step), step, path, manifest)
             print(f"wrote snapshot at step {step} to {path}")
     return EXIT_OK
 
@@ -165,7 +167,7 @@ def _cmd_transition(args) -> int:
         raise ConfigError("transition estimation accepts only phi as axis2")
 
     start = time.monotonic()
-    rows = sweep(spec, n_jobs=_n_jobs(args.threads))
+    rows = _sweep_reporting_flags(spec, args.threads)
     phis = list(spec.axis2.values) if spec.axis2 is not None else [spec.base.phi]
     rs = list(spec.axis1.values)
 
@@ -214,15 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"netwake: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ExperimentInfeasibleError as exc:
+    except (ExperimentInfeasibleError, SeedingError, LinkSamplingError) as exc:
         print(f"netwake: infeasible experiment: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:
         print(f"netwake: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NetwakeError as exc:
-        print(f"netwake: infeasible experiment: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -23,6 +23,12 @@ or as a block, which is also how sweeps are declared::
     }
 
 Unknown keys are rejected; every parse error names the key and line.
+
+This module owns only the syntax, the type conversion and the key/line
+attribution. Defaults and range rules live on the types the document
+fills in (``ExperimentConfig``, ``CascadeParams``, ``SeedSpec``,
+``LinkScheme``, ``SweepAxis``); a value a type rejects is reported
+against the key and line that set it.
 """
 
 from __future__ import annotations
@@ -34,16 +40,6 @@ from .errors import ConfigError
 from .geometry import BoundaryMode
 from .montecarlo import ExperimentConfig, SweepAxis, SweepSpec
 from .smallworld import LinkScheme, SchemeKind
-
-DEFAULTS = {
-    "n_nodes": 10_000,
-    "L": 1000.0,
-    "boundary": BoundaryMode.TORUS,
-    "c": 1.0,
-    "cutoff_fraction": 0.85,
-    "n_runs": 1000,
-    "master_seed": 0,
-}
 
 _TOP_KEYS = {
     "phi", "R", "n_nodes", "L", "boundary", "schedule", "seed_rule", "seed_nodes",
@@ -113,9 +109,22 @@ def _convert(entry: tuple[str, int], key: str, conv, what: str):
         raise ConfigError(f"expected {what}, got {value!r}", key=key, line=lineno) from None
 
 
-def _check(condition: bool, message: str, key: str, entry: tuple[str, int]):
-    if not condition:
-        raise ConfigError(message, key=key, line=entry[1])
+def _make(factory, key: str, entry: tuple[str, int] | None, *args, **kwargs):
+    """factory(*args, **kwargs), with a ValueError blamed on ``key``'s line."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=key, line=entry[1] if entry else None) from None
+
+
+def _apply(obj, entries: dict[str, tuple[str, int]], fields: dict):
+    """Set each present key's field on ``obj``, one key at a time, so the
+    type's own validation blames the key that set the failing field."""
+    for key, (name, conv, what) in fields.items():
+        if key in entries:
+            value = _convert(entries[key], key, conv, what)
+            obj = _make(replace, key, entries[key], obj, **{name: value})
+    return obj
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -138,6 +147,28 @@ def _strict_int(text: str) -> int:
     return int(float(text))
 
 
+# Config key -> (field it sets, converter, what the converter expects).
+_EXPERIMENT_FIELDS = {
+    "n_nodes": ("n_nodes", _strict_int, "an integer"),
+    "L": ("side", float, "a number"),
+    "boundary": ("boundary", BoundaryMode.parse, "'torus' or 'planar'"),
+    "c": ("coefficient", float, "a number"),
+    "n_runs": ("n_runs", _strict_int, "an integer"),
+    "master_seed": ("master_seed", _strict_int, "an integer"),
+}
+_CASCADE_FIELDS = {
+    "schedule": ("schedule", Schedule.parse, "'synchronous' or 'asynchronous'"),
+    "cutoff_fraction": ("cutoff_fraction", float, "a number"),
+    "max_steps": ("max_steps", _strict_int, "an integer"),
+}
+_SCHEME_FIELDS = {key: (key, float, "a number") for key in ("p_r", "delta", "d_c")}
+
+# The parameter each scheme kind cannot do without. It is set together
+# with the kind, so a missing one is blamed on the kind and a bad one on
+# its own key.
+_KIND_PARAMETER = {SchemeKind.POWER_LAW: "delta", SchemeKind.CUTOFF: "d_c"}
+
+
 def _parse_scheme(doc: _Doc) -> LinkScheme:
     flat_keys = {k for k in ("scheme", "p_r", "d_c", "delta") if k in doc.top}
     block = doc.blocks.get("scheme")
@@ -150,45 +181,50 @@ def _parse_scheme(doc: _Doc) -> LinkScheme:
 
     if block is not None:
         entries = dict(block)
-        kind_entry = entries.pop("kind", None)
+        kind_key, kind_entry = "kind", entries.pop("kind", None)
         if kind_entry is None:
             raise ConfigError("scheme block needs a 'kind'", key="kind")
-        kind = _convert(kind_entry, "kind", SchemeKind.parse, "uniform, powerlaw or cutoff")
     elif flat_keys:
         entries = {k: doc.top[k] for k in flat_keys if k != "scheme"}
-        if "scheme" in doc.top:
-            kind = _convert(doc.top["scheme"], "scheme", SchemeKind.parse, "uniform, powerlaw or cutoff")
-        else:
-            kind = SchemeKind.UNIFORM
+        kind_key, kind_entry = "scheme", doc.top.get("scheme")
     else:
         return LinkScheme.none()
+    kind = SchemeKind.UNIFORM
+    if kind_entry is not None:
+        kind = _convert(kind_entry, kind_key, SchemeKind.parse, "uniform, powerlaw or cutoff")
 
-    p_r = 0.0
-    if "p_r" in entries:
-        p_r = _convert(entries["p_r"], "p_r", float, "a number")
-        _check(p_r >= 0, "p_r must be nonnegative", "p_r", entries["p_r"])
-    delta = None
-    if "delta" in entries:
-        delta = _convert(entries["delta"], "delta", float, "a number")
-        _check(delta >= 0, "delta must be nonnegative", "delta", entries["delta"])
-    d_c = None
-    if "d_c" in entries:
-        d_c = _convert(entries["d_c"], "d_c", float, "a number")
-        _check(d_c > 0, "d_c must be positive", "d_c", entries["d_c"])
+    own = _KIND_PARAMETER.get(kind)
+    if own in entries:
+        entry = entries.pop(own)
+        value = _convert(entry, own, float, "a number")
+        scheme = _make(LinkScheme, own, entry, kind, 0.0, **{own: value})
+    else:
+        scheme = _make(LinkScheme, kind_key, kind_entry, kind, 0.0)
+    return _apply(scheme, entries, _SCHEME_FIELDS)
 
-    try:
-        return LinkScheme(kind, p_r, delta=delta, d_c=d_c)
-    except ValueError as exc:
-        key = "kind" if block is not None else "scheme"
-        entry = block.get("kind") if block is not None else doc.top.get("scheme")
-        raise ConfigError(str(exc), key=key, line=entry[1] if entry else None) from None
+
+def _parse_seed_spec(top: dict[str, tuple[str, int]], default: SeedSpec) -> SeedSpec:
+    rule, nodes = default.rule, default.nodes
+    if "seed_rule" in top:
+        rule = _convert(top["seed_rule"], "seed_rule", lambda text: SeedRule(text.strip().lower()),
+                        "single, triple or explicit")
+    if "seed_nodes" in top:
+        nodes = _convert(top["seed_nodes"], "seed_nodes", _int_list, "a comma list of node ids")
+    key = "seed_nodes" if "seed_nodes" in top else "seed_rule"
+    return _make(SeedSpec, key, top.get(key), rule, nodes)
+
+
+def _parse_axis(block: dict[str, tuple[str, int]], n: int) -> SweepAxis:
+    key, values_key = f"axis{n}", f"values{n}"
+    values = _convert(block[values_key], values_key, _float_list, "a comma list of numbers")
+    return _make(SweepAxis, key, block[key], block[key][0], values)
 
 
 def parse_config(text: str) -> ExperimentConfig | SweepSpec:
     """Parse a config document into an experiment or sweep description.
 
-    Applies the documented defaults (N=10^4, L=10^3, torus, c=1,
-    cutoff_fraction=0.85, n_runs=1000); ``phi`` and ``R`` are required.
+    ``phi`` and ``R`` are required; every absent key keeps the default of
+    the type it would set.
     """
     doc = _tokenize(text)
     top = doc.top
@@ -196,83 +232,15 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
     for required in ("phi", "R"):
         if required not in top:
             raise ConfigError(f"missing required key {required!r}", key=required)
-
     phi = _convert(top["phi"], "phi", float, "a number")
-    _check(0.0 <= phi <= 1.0, "phi must be in [0, 1]", "phi", top["phi"])
     radio_range = _convert(top["R"], "R", float, "a number")
-    _check(radio_range >= 0, "R must be nonnegative", "R", top["R"])
 
-    n_nodes = DEFAULTS["n_nodes"]
-    if "n_nodes" in top:
-        n_nodes = _convert(top["n_nodes"], "n_nodes", _strict_int, "an integer")
-        _check(n_nodes >= 1, "n_nodes must be >= 1", "n_nodes", top["n_nodes"])
-    side = DEFAULTS["L"]
-    if "L" in top:
-        side = _convert(top["L"], "L", float, "a number")
-        _check(side > 0, "L must be positive", "L", top["L"])
-    boundary = DEFAULTS["boundary"]
-    if "boundary" in top:
-        boundary = _convert(top["boundary"], "boundary", BoundaryMode.parse, "'torus' or 'planar'")
-    coefficient = DEFAULTS["c"]
-    if "c" in top:
-        coefficient = _convert(top["c"], "c", float, "a number")
-        _check(coefficient > 0, "c must be positive", "c", top["c"])
-    n_runs = DEFAULTS["n_runs"]
-    if "n_runs" in top:
-        n_runs = _convert(top["n_runs"], "n_runs", _strict_int, "an integer")
-        _check(n_runs >= 1, "n_runs must be >= 1", "n_runs", top["n_runs"])
-    master_seed = DEFAULTS["master_seed"]
-    if "master_seed" in top:
-        master_seed = _convert(top["master_seed"], "master_seed", _strict_int, "an integer")
-        _check(master_seed >= 0, "master_seed must be nonnegative", "master_seed", top["master_seed"])
-
-    schedule = Schedule.SYNCHRONOUS
-    if "schedule" in top:
-        schedule = _convert(top["schedule"], "schedule", Schedule.parse, "'synchronous' or 'asynchronous'")
-    cutoff_fraction = DEFAULTS["cutoff_fraction"]
-    if "cutoff_fraction" in top:
-        cutoff_fraction = _convert(top["cutoff_fraction"], "cutoff_fraction", float, "a number")
-        _check(0 < cutoff_fraction <= 1, "cutoff_fraction must be in (0, 1]", "cutoff_fraction", top["cutoff_fraction"])
-    max_steps = None
-    if "max_steps" in top:
-        max_steps = _convert(top["max_steps"], "max_steps", _strict_int, "an integer")
-        _check(max_steps >= 1, "max_steps must be >= 1", "max_steps", top["max_steps"])
-
-    seed_rule = "single"
-    if "seed_rule" in top:
-        seed_rule = _convert(top["seed_rule"], "seed_rule", str.lower, "a seed rule").strip()
-        _check(seed_rule in ("single", "triple", "explicit"),
-               "seed_rule must be single, triple or explicit", "seed_rule", top["seed_rule"])
-    if seed_rule == "explicit":
-        if "seed_nodes" not in top:
-            raise ConfigError("explicit seeding needs 'seed_nodes'", key="seed_nodes")
-        nodes = _convert(top["seed_nodes"], "seed_nodes", _int_list, "a comma list of node ids")
-        seed_spec = SeedSpec.explicit(nodes)
-    else:
-        if "seed_nodes" in top:
-            raise ConfigError("'seed_nodes' only applies to explicit seeding",
-                              key="seed_nodes", line=top["seed_nodes"][1])
-        seed_spec = SeedSpec(SeedRule(seed_rule))
-
-    cascade = CascadeParams(
-        phi=phi,
-        schedule=schedule,
-        seed_spec=seed_spec,
-        cutoff_fraction=cutoff_fraction,
-        max_steps=max_steps,
-    )
-    base = ExperimentConfig(
-        phi=phi,
-        radio_range=radio_range,
-        n_nodes=n_nodes,
-        side=side,
-        boundary=boundary,
-        scheme=_parse_scheme(doc),
-        cascade=cascade,
-        coefficient=coefficient,
-        n_runs=n_runs,
-        master_seed=master_seed,
-    )
+    cascade = _make(CascadeParams, "phi", top["phi"], phi=phi)
+    cascade = _apply(cascade, top, _CASCADE_FIELDS)
+    cascade = replace(cascade, seed_spec=_parse_seed_spec(top, cascade.seed_spec))
+    base = _make(ExperimentConfig, "R", top["R"], phi=phi, radio_range=radio_range,
+                 scheme=_parse_scheme(doc), cascade=cascade)
+    base = _apply(base, top, _EXPERIMENT_FIELDS)
 
     sweep_block = doc.blocks.get("sweep")
     if sweep_block is None:
@@ -280,24 +248,12 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
 
     if "axis1" not in sweep_block or "values1" not in sweep_block:
         raise ConfigError("sweep block needs 'axis1' and 'values1'", key="axis1")
-    try:
-        axis1 = SweepAxis(
-            name=sweep_block["axis1"][0],
-            values=_convert(sweep_block["values1"], "values1", _float_list, "a comma list of numbers"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="axis1", line=sweep_block["axis1"][1]) from None
+    axis1 = _parse_axis(sweep_block, 1)
     axis2 = None
     if "axis2" in sweep_block or "values2" in sweep_block:
         if "axis2" not in sweep_block or "values2" not in sweep_block:
             raise ConfigError("a second axis needs both 'axis2' and 'values2'", key="axis2")
-        try:
-            axis2 = SweepAxis(
-                name=sweep_block["axis2"][0],
-                values=_convert(sweep_block["values2"], "values2", _float_list, "a comma list of numbers"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="axis2", line=sweep_block["axis2"][1]) from None
+        axis2 = _parse_axis(sweep_block, 2)
     return SweepSpec(base=base, axis1=axis1, axis2=axis2)
 
 

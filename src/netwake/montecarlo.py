@@ -6,6 +6,12 @@ index), so a configuration pins down every number exactly regardless of
 execution order or worker count. Sweep cells likewise derive their seeds
 from the swept parameter values, not grid position: swapping axes
 permutes rows without changing any cell.
+
+``run_replicate`` is the one replicate pipeline: ``run_replicates``
+aggregates it and ``netwake run`` prints replicate 0 of it. The range
+rules of an experiment live on the types (``ExperimentConfig``,
+``CascadeParams``, ``LinkScheme``, ``SweepAxis``), not in the config
+parser.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import CascadeParams, run_cascade
-from .energy import EnergyModel, account_cascade
+from .cascade import CascadeOutcome, CascadeParams, run_cascade
+from .energy import EnergyModel, EnergyReport, account_cascade
 from .errors import EstimationError, ExperimentInfeasibleError, LinkSamplingError, SeedingError
 from .geometry import BoundaryMode, sample_points
-from .network import build_rgg
+from .network import Network, build_rgg
 from .smallworld import LinkScheme, SchemeKind, add_long_range_links
 
 #: Parameter names accepted as sweep axes, mapped onto config fields below.
@@ -49,8 +55,14 @@ class ExperimentConfig:
             raise ValueError(f"need at least one node, got {self.n_nodes}")
         if self.n_runs < 1:
             raise ValueError(f"need at least one run, got {self.n_runs}")
-        if self.radio_range < 0:
+        if not self.radio_range >= 0:
             raise ValueError(f"radio range must be nonnegative, got {self.radio_range}")
+        if not self.side > 0:
+            raise ValueError(f"side length must be positive, got {self.side}")
+        if not self.coefficient > 0:
+            raise ValueError(f"energy coefficient must be positive, got {self.coefficient}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
         if self.cascade is None:
             object.__setattr__(self, "cascade", CascadeParams(phi=self.phi))
         elif self.cascade.phi != self.phi:
@@ -97,6 +109,8 @@ class SweepAxis:
             raise ValueError(f"axis {self.name!r} has an empty grid")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"axis {self.name!r} grid must be strictly increasing")
+        if self.name == "n_nodes" and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"axis 'n_nodes' needs integer values, got {list(self.values)}")
 
 
 @dataclass(frozen=True)
@@ -158,25 +172,64 @@ def cell_config(base: ExperimentConfig, overrides: dict[str, float]) -> Experime
     return replace(cfg, master_seed=int.from_bytes(digest[:8], "big"))
 
 
-def _run_one(cfg: ExperimentConfig, index: int) -> tuple[bool, float, int, float, float | None, bool]:
-    """One replicate: (success, final_fraction, time, energy, d_bar, infeasible)."""
+@dataclass(frozen=True)
+class Replicate:
+    """One replicate: the network it drew, its cascade and its energy."""
+
+    net: Network
+    outcome: CascadeOutcome
+    report: EnergyReport
+
+
+def run_replicate(cfg: ExperimentConfig, index: int) -> Replicate:
+    """Replicate ``index`` of ``cfg``, drawn from its own random stream.
+
+    Raises SeedingError or LinkSamplingError when this replicate cannot
+    host a cascade; a zero radio range counts as a failed seeding, since
+    the energy model needs a positive range.
+    """
+    if not cfg.radio_range > 0:
+        raise SeedingError("radio range must be positive to host a cascade")
     rng = replicate_rng(cfg.master_seed, index)
     points = sample_points(cfg.n_nodes, cfg.side, rng)
     net = build_rgg(points, cfg.radio_range, cfg.side, cfg.boundary)
-    try:
-        if cfg.scheme.p_r > 0:
-            net = add_long_range_links(net, cfg.scheme, rng)
-        outcome = run_cascade(net, cfg.cascade, rng)
-    except (SeedingError, LinkSamplingError):
-        return False, 0.0, 0, 0.0, None, True
+    if cfg.scheme.p_r > 0:
+        net = add_long_range_links(net, cfg.scheme, rng)
+    outcome = run_cascade(net, cfg.cascade, rng)
     report = account_cascade(net, outcome, cfg.energy_model())
-    d_bar = float(net.long_length.mean()) if net.n_long_edges else None
-    success = outcome.is_global and not outcome.stalled
-    return success, outcome.final_fraction, outcome.time, report.total_energy, d_bar, False
+    return Replicate(net, outcome, report)
 
 
-def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[tuple]:
-    return [_run_one(cfg, i) for i in range(start, stop)]
+@dataclass(frozen=True)
+class _Summary:
+    """What aggregation keeps of one replicate."""
+
+    infeasible: bool
+    success: bool = False
+    final_fraction: float = 0.0
+    time: int = 0
+    energy: float = 0.0
+    d_bar: float | None = None
+
+
+def _summarize(cfg: ExperimentConfig, index: int) -> _Summary:
+    try:
+        rep = run_replicate(cfg, index)
+    except (SeedingError, LinkSamplingError):
+        return _Summary(infeasible=True)
+    net, outcome = rep.net, rep.outcome
+    return _Summary(
+        infeasible=False,
+        success=outcome.is_global and not outcome.stalled,
+        final_fraction=outcome.final_fraction,
+        time=outcome.time,
+        energy=rep.report.total_energy,
+        d_bar=float(net.long_length.mean()) if net.n_long_edges else None,
+    )
+
+
+def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[_Summary]:
+    return [_summarize(cfg, i) for i in range(start, stop)]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -205,11 +258,11 @@ def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1) -> ReplicateStats:
     return _aggregate(results)
 
 
-def _aggregate(results: list[tuple]) -> ReplicateStats:
+def _aggregate(results: list[_Summary]) -> ReplicateStats:
     n = len(results)
-    successes = [r for r in results if r[0]]
+    successes = [r for r in results if r.success]
     n_success = len(successes)
-    n_infeasible = sum(1 for r in results if r[5])
+    n_infeasible = sum(1 for r in results if r.infeasible)
     if n_infeasible == n:
         raise ExperimentInfeasibleError(
             "every replicate failed before the cascade could start", n_infeasible
@@ -217,12 +270,12 @@ def _aggregate(results: list[tuple]) -> ReplicateStats:
 
     p = n_success / n
     p_se = math.sqrt(p * (1.0 - p) / n)
-    fractions = np.array([r[1] for r in results])
-    d_bars = np.array([r[4] for r in results if r[4] is not None], dtype=float)
+    fractions = np.array([r.final_fraction for r in results])
+    d_bars = np.array([r.d_bar for r in results if r.d_bar is not None], dtype=float)
 
     if n_success:
-        mean_time, time_se = _mean_se(np.array([r[2] for r in successes], dtype=float))
-        mean_energy, energy_se = _mean_se(np.array([r[3] for r in successes], dtype=float))
+        mean_time, time_se = _mean_se(np.array([r.time for r in successes], dtype=float))
+        mean_energy, energy_se = _mean_se(np.array([r.energy for r in successes], dtype=float))
     else:
         mean_time = time_se = mean_energy = energy_se = None
 
@@ -267,26 +320,41 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     return rows
 
 
+def _refuse_gap(p_lo: float, p_hi: float, r_lo: float, r_hi: float) -> None:
+    if math.isnan(p_lo) or math.isnan(p_hi):
+        raise EstimationError(
+            f"a flagged cell between R={r_lo!r} and R={r_hi!r} could hide the crossing"
+        )
+
+
 def estimate_onset_range(r_values, p_values, level: float = 0.5) -> float:
     """Range at which the cascade probability first rises through ``level``.
 
-    Linear interpolation between the bracketing grid points.
+    Linear interpolation between the bracketing grid points. A NaN marks
+    a flagged cell; EstimationError is raised when one could hide an
+    earlier rising crossing.
     """
     r = np.asarray(r_values, dtype=float)
     p = np.asarray(p_values, dtype=float)
     for i in range(r.size - 1):
-        if p[i] < level <= p[i + 1]:
+        # Written so that a NaN on either side leaves the crossing possible.
+        if not (p[i] >= level or p[i + 1] < level):
+            _refuse_gap(p[i], p[i + 1], r[i], r[i + 1])
             return float(r[i] + (level - p[i]) * (r[i + 1] - r[i]) / (p[i + 1] - p[i]))
     raise EstimationError(f"cascade probability never rises through {level} on this grid")
 
 
 def estimate_upper_boundary(r_values, p_values, level: float = 0.5) -> float:
     """Largest range still supporting cascades: the final descending
-    crossing of ``level``, linearly interpolated."""
+    crossing of ``level``, linearly interpolated. A NaN marks a flagged
+    cell; EstimationError is raised when one could hide a later falling
+    crossing."""
     r = np.asarray(r_values, dtype=float)
     p = np.asarray(p_values, dtype=float)
     for i in range(r.size - 2, -1, -1):
-        if p[i] >= level > p[i + 1]:
+        # Written so that a NaN on either side leaves the crossing possible.
+        if not (p[i] < level or p[i + 1] >= level):
+            _refuse_gap(p[i], p[i + 1], r[i], r[i + 1])
             return float(r[i] + (p[i] - level) * (r[i + 1] - r[i]) / (p[i] - p[i + 1]))
     raise EstimationError(f"cascade probability never falls through {level} on this grid")
 

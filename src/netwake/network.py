@@ -85,14 +85,6 @@ class Network:
     def local_neighbors(self, node: int) -> np.ndarray:
         return self.local_indices[self.local_indptr[node]:self.local_indptr[node + 1]]
 
-    def long_neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """Long-range neighbors of ``node`` with the recorded link lengths."""
-        mask_u = self.long_u == node
-        mask_v = self.long_v == node
-        nodes = np.concatenate([self.long_v[mask_u], self.long_u[mask_v]])
-        lengths = np.concatenate([self.long_length[mask_u], self.long_length[mask_v]])
-        return nodes, lengths
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.adj_indptr)
@@ -108,11 +100,6 @@ class Network:
     @property
     def mean_local_degree(self) -> float:
         return 2.0 * self.n_local_edges / self.n_nodes
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
-        return pos < nbrs.size and nbrs[pos] == v
 
     def validate(self, check_geometry: bool = True) -> None:
         """Assert structural invariants; used by tests, not the hot path."""

@@ -54,15 +54,15 @@ class LinkScheme:
     d_c: float | None = None
 
     def __post_init__(self):
-        if self.p_r < 0:
+        if not self.p_r >= 0:
             raise ValueError(f"link density p_r must be nonnegative, got {self.p_r}")
         if self.kind is SchemeKind.POWER_LAW:
-            if self.delta is None or self.delta < 0:
+            if self.delta is None or not self.delta >= 0:
                 raise ValueError("powerlaw scheme needs an exponent delta >= 0")
         elif self.delta is not None:
             raise ValueError(f"delta only applies to the powerlaw scheme, not {self.kind.value}")
         if self.kind is SchemeKind.CUTOFF:
-            if self.d_c is None or self.d_c <= 0:
+            if self.d_c is None or not self.d_c > 0:
                 raise ValueError("cutoff scheme needs a cutoff distance d_c > 0")
         elif self.d_c is not None:
             raise ValueError(f"d_c only applies to the cutoff scheme, not {self.kind.value}")

@@ -6,7 +6,6 @@ from netwake.cascade import (
     CascadeParams,
     Schedule,
     SeedSpec,
-    activation_rule,
     initial_state,
     run_cascade,
     select_seed,
@@ -57,31 +56,25 @@ class TestSelectSeed:
             select_seed(net, SeedSpec.triple(), rng)
 
 
-class TestActivationRule:
-    def test_meets_threshold(self):
-        assert activation_rule(2, 10, 0.15) is True  # 0.2 >= 0.15
-
-    def test_below_threshold(self):
-        assert activation_rule(1, 10, 0.15) is False  # 0.1 < 0.15
-
-    def test_isolated_node_never_activates(self):
-        assert activation_rule(0, 0, 0.15) is False
-
-    def test_exact_fraction_counts(self):
-        assert activation_rule(3, 20, 0.15) is True  # 3/20 == 0.15
-
-    def test_needs_an_active_neighbor_even_at_zero_threshold(self):
-        assert activation_rule(0, 5, 0.0) is False
-        assert activation_rule(1, 5, 0.0) is True
-
-    def test_rejects_impossible_counts(self):
-        with pytest.raises(ValueError):
-            activation_rule(3, 2, 0.5)
-        with pytest.raises(ValueError):
-            activation_rule(-1, 2, 0.5)
-
-
 class TestSynchronousStep:
+    @pytest.mark.parametrize("active, degree, phi, wakes", [
+        pytest.param(2, 10, 0.15, True, id="meets-threshold"),
+        pytest.param(1, 10, 0.15, False, id="below-threshold"),
+        pytest.param(3, 20, 0.15, True, id="exact-fraction"),  # 3/20 == 0.15
+        pytest.param(0, 0, 0.15, False, id="isolated-node"),
+        pytest.param(0, 5, 0.0, False, id="zero-threshold-needs-an-active-neighbor"),
+        pytest.param(1, 5, 0.0, True, id="zero-threshold-one-active-neighbor"),
+    ])
+    def test_threshold_rule(self, active, degree, phi, wakes):
+        # Node 0 has `degree` leaves and the first `active` of them are
+        # seeded; the last node lies outside its neighborhood and is always
+        # seeded, so the active set is never empty.
+        n = degree + 2
+        net = network_from_edges(n, [(0, leaf) for leaf in range(1, degree + 1)])
+        seeds = np.array([*range(1, active + 1), n - 1])
+        state = step_synchronous(net, initial_state(net, seeds), phi)
+        assert bool(state.active[0]) is wakes
+
     def test_star_ignites_all_leaves_at_once(self, rng):
         net = star_network(4)
         state = initial_state(net, np.array([0]))

@@ -130,6 +130,12 @@ class TestExitCodes:
                     "phi = 0.1\nR = 0\nn_nodes = 50\nL = 70\nn_runs = 3\nseed_rule = triple\n")
         assert main(["run", "--config", cfg]) == EXIT_INFEASIBLE
 
+    def test_zero_range_is_infeasible_with_a_single_seed(self, tmp_path, capsys):
+        cfg = write(tmp_path, "r0.conf", "phi = 0.1\nR = 0\nn_nodes = 50\nL = 70\n")
+        assert main(["run", "--config", cfg]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("netwake: infeasible experiment:")
+
     def test_io_error(self, tmp_path):
         cfg = write(tmp_path, "s.conf", SWEEP_DOC)
         missing = str(tmp_path / "no_such_dir" / "x.csv")

@@ -94,6 +94,19 @@ class TestErrors:
             parse_config("phi = 0.1\nR = 16\nnonsense\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("doc,key,line", [
+        ("phi = 0.1\nR = nan\n", "R", 2),
+        ("phi = 0.1\nR = 16\nL = nan\n", "L", 3),
+        ("phi = 0.1\nR = 16\nc = nan\n", "c", 3),
+        ("phi = 0.1\nR = 16\np_r = nan\n", "p_r", 3),
+        ("phi = 0.1\nR = 16\nscheme = powerlaw\ndelta = nan\n", "delta", 4),
+        ("phi = 0.1\nR = 16\nscheme = cutoff\nd_c = nan\n", "d_c", 4),
+    ])
+    def test_nan_rejected_at_its_key(self, doc, key, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.key == key and err.value.line == line
+
     def test_fractional_integer_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("phi=0.1\nR=16\nn_runs=10.5\n")
@@ -153,6 +166,12 @@ class TestSweepBlock:
         text = "phi=0.05\nR=12\nsweep {\n axis1 = R\n values1 = 13, 11\n}\n"
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_fractional_node_counts_rejected(self):
+        text = "phi=0.05\nR=12\nsweep {\n axis1 = n_nodes\n values1 = 399.5, 400.7\n}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.key == "axis1" and err.value.line == 4
 
     def test_axis2_needs_values2(self):
         text = "phi=0.05\nR=12\nsweep {\n axis1 = R\n values1 = 11, 13\n axis2 = phi\n}\n"

@@ -89,6 +89,11 @@ class TestRunReplicates:
             run_replicates(cfg)
         assert err.value.failure_count == 5
 
+    def test_zero_range_is_infeasible_under_any_seed_rule(self):
+        with pytest.raises(ExperimentInfeasibleError) as err:
+            run_replicates(small_cfg(radio_range=0.0, n_runs=3))
+        assert err.value.failure_count == 3
+
 
 class TestSweep:
     def test_single_cell_matches_run_replicates(self):
@@ -182,6 +187,22 @@ class TestCrossings:
     def test_never_falls_raises(self):
         with pytest.raises(EstimationError):
             estimate_upper_boundary([10, 12], [0.8, 0.9])
+
+    def test_flagged_cell_that_could_hide_an_earlier_rise_raises(self):
+        nan = float("nan")
+        with pytest.raises(EstimationError):
+            estimate_onset_range([10, 11, 12, 13, 14], [0.1, nan, 0.9, 0.2, 0.7])
+        # After the first rise, or where its neighbor rules a rise out, a
+        # flagged cell hides nothing.
+        assert estimate_onset_range([10, 11, 12], [0.1, 0.9, nan]) == pytest.approx(10.5)
+        assert estimate_onset_range([10, 11, 12], [nan, 0.1, 0.9]) == pytest.approx(11.5)
+
+    def test_flagged_cell_that_could_hide_a_later_fall_raises(self):
+        nan = float("nan")
+        with pytest.raises(EstimationError):
+            estimate_upper_boundary([10, 11, 12, 13], [0.9, 0.2, 0.8, nan])
+        assert estimate_upper_boundary([10, 11, 12], [nan, 0.9, 0.1]) == pytest.approx(11.5)
+        assert estimate_upper_boundary([10, 11, 12], [0.9, 0.1, nan]) == pytest.approx(10.5)
 
 
 class TestBoundaryFit:
