@@ -70,19 +70,14 @@ from .network import (
     components,
     giant_fraction,
 )
-from .smallworld import (
-    LinkScheme,
-    SchemeKind,
-    add_long_range_links,
-    mean_long_range_length,
-)
+from .smallworld import LinkScheme, SchemeKind, add_long_range_links
 
 __all__ = [
     "__version__",
     "BoundaryMode", "distance", "pair_distances", "sample_points",
     "expected_degree", "range_for_degree",
     "Network", "ComponentLabeling", "build_rgg", "components", "giant_fraction",
-    "LinkScheme", "SchemeKind", "add_long_range_links", "mean_long_range_length",
+    "LinkScheme", "SchemeKind", "add_long_range_links",
     "CascadeParams", "CascadeState", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",
     "initial_state", "select_seed", "step_synchronous",
     "step_asynchronous", "run_cascade",

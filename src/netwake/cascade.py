@@ -12,6 +12,10 @@ the previous step's active set and all activations land at once.
 Asynchronous: one time step is a full sweep over a fresh random
 permutation of the nodes, with activations visible immediately within
 the sweep.
+
+``CascadeState.activation_time`` is the one activation record: the step
+at which each node turned on, NEVER while it is off. The active set and
+the outcome's time are read from it, not kept beside it.
 """
 
 from __future__ import annotations
@@ -95,14 +99,20 @@ class CascadeParams:
 class CascadeState:
     """Activation state after t whole steps.
 
-    ``active_neighbor_counts[i]`` caches the number of active neighbors of
-    node i for the full active set; the step functions keep it in sync.
+    ``activation_time[i]`` is the step at which node i turned active, NEVER
+    while it is inactive. ``active_neighbor_counts[i]`` caches the number
+    of active neighbors of node i for the full active set; the step
+    functions keep it in sync.
     """
 
-    active: np.ndarray
+    activation_time: np.ndarray
     t: int
     newly_activated: np.ndarray
     active_neighbor_counts: np.ndarray
+
+    @property
+    def active(self) -> np.ndarray:
+        return self.activation_time != NEVER
 
 
 @dataclass
@@ -163,11 +173,11 @@ def _neighbors_of(net: Network, nodes: np.ndarray) -> np.ndarray:
 
 def initial_state(net: Network, seeds: np.ndarray) -> CascadeState:
     """State at t=0 with the seed set switched on."""
-    active = np.zeros(net.n_nodes, dtype=bool)
-    active[seeds] = True
+    activation_time = np.full(net.n_nodes, NEVER, dtype=np.int64)
+    activation_time[seeds] = 0
     counts = np.bincount(_neighbors_of(net, seeds), minlength=net.n_nodes).astype(np.int64)
     return CascadeState(
-        active=active,
+        activation_time=activation_time,
         t=0,
         newly_activated=np.asarray(seeds, dtype=np.int64),
         active_neighbor_counts=counts,
@@ -176,40 +186,41 @@ def initial_state(net: Network, seeds: np.ndarray) -> CascadeState:
 
 def step_synchronous(net: Network, state: CascadeState, phi: float) -> CascadeState:
     """One simultaneous update: all evaluations see the previous active set."""
-    active = state.active.copy()
+    t = state.t + 1
+    activation_time = state.activation_time.copy()
     counts = state.active_neighbor_counts
     candidates = np.unique(_neighbors_of(net, state.newly_activated))
-    candidates = candidates[~active[candidates]]
+    candidates = candidates[activation_time[candidates] == NEVER]
     if candidates.size:
         frac = counts[candidates] / net.degrees[candidates]
         newly = candidates[(counts[candidates] > 0) & (frac >= phi)]
     else:
         newly = np.empty(0, dtype=np.int64)
-    active[newly] = True
+    activation_time[newly] = t
     new_counts = counts + np.bincount(_neighbors_of(net, newly), minlength=net.n_nodes)
-    assert active.sum() >= state.active.sum(), "active set must never shrink"
-    return CascadeState(active=active, t=state.t + 1, newly_activated=newly, active_neighbor_counts=new_counts)
+    return CascadeState(activation_time=activation_time, t=t, newly_activated=newly,
+                        active_neighbor_counts=new_counts)
 
 
 def step_asynchronous(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
     """One full sweep in a fresh random node order, updates visible immediately."""
-    active = state.active.copy()
+    t = state.t + 1
+    activation_time = state.activation_time.copy()
     counts = state.active_neighbor_counts.copy()
     degrees = net.degrees
     indptr, indices = net.adj_indptr, net.adj_indices
     newly = []
     for v in rng.permutation(net.n_nodes):
         c = counts[v]
-        if active[v] or c == 0:
+        if c == 0 or activation_time[v] != NEVER:
             continue
         if c / degrees[v] >= phi:
-            active[v] = True
+            activation_time[v] = t
             counts[indices[indptr[v]:indptr[v + 1]]] += 1
             newly.append(v)
-    assert active.sum() >= state.active.sum(), "active set must never shrink"
     return CascadeState(
-        active=active,
-        t=state.t + 1,
+        activation_time=activation_time,
+        t=t,
         newly_activated=np.array(sorted(newly), dtype=np.int64),
         active_neighbor_counts=counts,
     )
@@ -228,10 +239,7 @@ def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -
     seeds = select_seed(net, params.seed_spec, rng)
 
     state = initial_state(net, seeds)
-    activation_time = np.full(n, NEVER, dtype=np.int64)
-    activation_time[seeds] = 0
-
-    time = 0
+    n_active = int(np.count_nonzero(state.active))
     stalled = True
     while state.t < max_steps:
         if params.schedule is Schedule.SYNCHRONOUS:
@@ -241,18 +249,17 @@ def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -
         if state.newly_activated.size == 0:
             stalled = False
             break
-        activation_time[state.newly_activated] = state.t
-        time = state.t
-        if state.active.all():
+        n_active += state.newly_activated.size
+        if n_active == n:
             stalled = False
             break
 
-    final_fraction = float(state.active.sum()) / n
+    final_fraction = n_active / n
     return CascadeOutcome(
         final_fraction=final_fraction,
-        time=time,
+        time=int(state.activation_time.max()),
         is_global=final_fraction >= params.cutoff_fraction,
         stalled=stalled,
-        activation_time=activation_time,
+        activation_time=state.activation_time,
         seed=seeds,
     )

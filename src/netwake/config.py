@@ -105,7 +105,7 @@ def _convert(entry: tuple[str, int], key: str, conv, what: str):
     value, lineno = entry
     try:
         return conv(value)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):  # int(float("inf")) overflows
         raise ConfigError(f"expected {what}, got {value!r}", key=key, line=lineno) from None
 
 
@@ -203,15 +203,18 @@ def _parse_scheme(doc: _Doc) -> LinkScheme:
     return _apply(scheme, entries, _SCHEME_FIELDS)
 
 
-def _parse_seed_spec(top: dict[str, tuple[str, int]], default: SeedSpec) -> SeedSpec:
-    rule, nodes = default.rule, default.nodes
+def _apply_seed_spec(top: dict[str, tuple[str, int]], cfg: ExperimentConfig) -> ExperimentConfig:
+    """Set the seed spec last, so that ids outside [0, n_nodes) are blamed
+    on the key that gave them."""
+    rule, nodes = cfg.cascade.seed_spec.rule, cfg.cascade.seed_spec.nodes
     if "seed_rule" in top:
         rule = _convert(top["seed_rule"], "seed_rule", lambda text: SeedRule(text.strip().lower()),
                         "single, triple or explicit")
     if "seed_nodes" in top:
         nodes = _convert(top["seed_nodes"], "seed_nodes", _int_list, "a comma list of node ids")
     key = "seed_nodes" if "seed_nodes" in top else "seed_rule"
-    return _make(SeedSpec, key, top.get(key), rule, nodes)
+    spec = _make(SeedSpec, key, top.get(key), rule, nodes)
+    return _make(replace, key, top.get(key), cfg, cascade=replace(cfg.cascade, seed_spec=spec))
 
 
 def _parse_axis(block: dict[str, tuple[str, int]], n: int) -> SweepAxis:
@@ -237,10 +240,10 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
 
     cascade = _make(CascadeParams, "phi", top["phi"], phi=phi)
     cascade = _apply(cascade, top, _CASCADE_FIELDS)
-    cascade = replace(cascade, seed_spec=_parse_seed_spec(top, cascade.seed_spec))
     base = _make(ExperimentConfig, "R", top["R"], phi=phi, radio_range=radio_range,
                  scheme=_parse_scheme(doc), cascade=cascade)
     base = _apply(base, top, _EXPERIMENT_FIELDS)
+    base = _apply_seed_spec(top, base)
 
     sweep_block = doc.blocks.get("sweep")
     if sweep_block is None:

@@ -28,7 +28,7 @@ from .energy import EnergyModel, EnergyReport, account_cascade
 from .errors import EstimationError, ExperimentInfeasibleError, LinkSamplingError, SeedingError
 from .geometry import BoundaryMode, sample_points
 from .network import Network, build_rgg
-from .smallworld import LinkScheme, SchemeKind, add_long_range_links
+from .smallworld import LinkScheme, add_long_range_links
 
 #: Parameter names accepted as sweep axes, mapped onto config fields below.
 SWEEPABLE = ("phi", "R", "p_r", "d_c", "delta", "n_nodes")
@@ -67,6 +67,9 @@ class ExperimentConfig:
             object.__setattr__(self, "cascade", CascadeParams(phi=self.phi))
         elif self.cascade.phi != self.phi:
             object.__setattr__(self, "cascade", replace(self.cascade, phi=self.phi))
+        nodes = self.cascade.seed_spec.nodes
+        if nodes and not (min(nodes) >= 0 and max(nodes) < self.n_nodes):
+            raise ValueError(f"seed node ids must be in [0, {self.n_nodes}), got {list(nodes)}")
 
     def energy_model(self) -> EnergyModel:
         return EnergyModel(self.coefficient, self.radio_range)
@@ -148,12 +151,8 @@ def _apply_parameter(cfg: ExperimentConfig, name: str, value: float) -> Experime
     if name == "p_r":
         return replace(cfg, scheme=replace(scheme, p_r=float(value)))
     if name == "d_c":
-        if scheme.kind is not SchemeKind.CUTOFF:
-            raise ValueError(f"cannot sweep d_c under the {scheme.kind.value} scheme")
         return replace(cfg, scheme=replace(scheme, d_c=float(value)))
     if name == "delta":
-        if scheme.kind is not SchemeKind.POWER_LAW:
-            raise ValueError(f"cannot sweep delta under the {scheme.kind.value} scheme")
         return replace(cfg, scheme=replace(scheme, delta=float(value)))
     raise ValueError(f"unknown sweep parameter {name!r}")
 
@@ -297,8 +296,9 @@ def _aggregate(results: list[_Summary]) -> ReplicateStats:
 def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     """Run one experiment per grid cell, rows in row-major grid order.
 
-    Per-cell failures become flagged rows (stats=None, error set); they
-    never abort the rest of the grid.
+    A cell whose values a type rejects, or whose every replicate is
+    infeasible, becomes a flagged row (stats=None, error set) and never
+    aborts the rest of the grid. Any other error propagates.
     """
     cells: list[dict[str, float]] = []
     for v1 in spec.axis1.values:
@@ -312,11 +312,17 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     for overrides in cells:
         v1 = overrides[spec.axis1.name]
         v2 = overrides[spec.axis2.name] if spec.axis2 is not None else None
+        stats = error = None
         try:
-            stats = run_replicates(cell_config(spec.base, overrides), n_jobs=n_jobs)
-            rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=stats))
-        except (ExperimentInfeasibleError, ValueError) as exc:
-            rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=None, error=str(exc)))
+            cfg = cell_config(spec.base, overrides)
+        except ValueError as exc:
+            error = str(exc)
+        else:
+            try:
+                stats = run_replicates(cfg, n_jobs=n_jobs)
+            except ExperimentInfeasibleError as exc:
+                error = str(exc)
+        rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=stats, error=error))
     return rows
 
 

@@ -6,6 +6,11 @@ into a cell grid (cell side >= R) so the expected cost is O(N * mean
 degree) instead of O(N^2). Long-range links added later by the
 smallworld module live in a separate edge class but count as ordinary
 neighbors for adjacency queries and connectivity.
+
+``Network`` is the one owner of the edge format: it is frozen, and it
+derives the merged adjacency and the degrees from its edge lists once,
+on construction. A network with more links is a new ``Network``
+(``dataclasses.replace``), never an edited one.
 """
 
 from __future__ import annotations
@@ -43,14 +48,15 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.asarray(starts, dtype=np.int64), counts) + offsets
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
     """Immutable snapshot of a deployed network.
 
     Local adjacency (the range-R backbone) is stored in CSR form with
     sorted neighbor lists; long-range links are stored as parallel arrays
     (u, v, length). ``adj_indptr``/``adj_indices`` cover the union of both
-    edge classes and drive all dynamics.
+    edge classes and drive all dynamics; they and ``degrees`` are derived
+    from the edge lists once, on construction.
     """
 
     n_nodes: int
@@ -63,18 +69,32 @@ class Network:
     long_u: np.ndarray
     long_v: np.ndarray
     long_length: np.ndarray
-    adj_indptr: np.ndarray = field(repr=False, default=None)
-    adj_indices: np.ndarray = field(repr=False, default=None)
+    adj_indptr: np.ndarray = field(init=False, repr=False)
+    adj_indices: np.ndarray = field(init=False, repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.adj_indptr is None:
-            self.adj_indptr, self.adj_indices = _merge_adjacency(
-                self.n_nodes,
-                self.local_indptr,
-                self.local_indices,
-                self.long_u,
-                self.long_v,
+        indptr, indices = self.local_indptr, self.local_indices
+        if self.long_u.size:
+            lu, lv = self.local_edges()
+            indptr, indices = _build_csr(
+                self.n_nodes, np.concatenate([lu, self.long_u]), np.concatenate([lv, self.long_v])
             )
+        object.__setattr__(self, "adj_indptr", indptr)
+        object.__setattr__(self, "adj_indices", indices)
+        object.__setattr__(self, "degrees", np.diff(indptr))
+
+    @classmethod
+    def from_edges(cls, positions, u: np.ndarray, v: np.ndarray, side: float,
+                   boundary: BoundaryMode, radio_range: float) -> "Network":
+        """Network over ``positions`` whose local edges are the pairs (u[k], v[k])."""
+        positions = np.asarray(positions, dtype=float)
+        n = positions.shape[0]
+        indptr, indices = _build_csr(n, u, v)
+        no_links = np.empty(0, dtype=np.int64)
+        return cls(n_nodes=n, side=float(side), boundary=boundary, radio_range=float(radio_range),
+                   positions=positions, local_indptr=indptr, local_indices=indices,
+                   long_u=no_links, long_v=no_links, long_length=np.empty(0))
 
     # -- adjacency queries ---------------------------------------------------
 
@@ -85,9 +105,11 @@ class Network:
     def local_neighbors(self, node: int) -> np.ndarray:
         return self.local_indices[self.local_indptr[node]:self.local_indptr[node + 1]]
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.adj_indptr)
+    def local_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each local edge once, as arrays (u, v) with u < v, in CSR order."""
+        src = np.repeat(np.arange(self.n_nodes), np.diff(self.local_indptr))
+        keep = src < self.local_indices
+        return src[keep], self.local_indices[keep]
 
     @property
     def n_local_edges(self) -> int:
@@ -112,7 +134,7 @@ class Network:
             for v in nbrs:
                 assert u in self.local_neighbors(int(v)), "asymmetric edge"
         if check_geometry and self.n_nodes > 0:
-            u, v = _local_edge_list(self.local_indptr, self.local_indices)
+            u, v = self.local_edges()
             d = pair_distances(self.positions[u], self.positions[v], self.side, self.boundary)
             assert np.all(d <= self.radio_range + 1e-9), "local edge longer than radio range"
             if self.n_long_edges:
@@ -134,12 +156,6 @@ class ComponentLabeling:
     sizes: np.ndarray
 
 
-def _local_edge_list(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    keep = src < indices
-    return src[keep], indices[keep]
-
-
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR with sorted neighbor lists from an undirected edge list."""
     src = np.concatenate([u, v])
@@ -149,13 +165,6 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     counts = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return indptr, indices.astype(np.int64)
-
-
-def _merge_adjacency(n, local_indptr, local_indices, long_u, long_v):
-    if long_u.size == 0:
-        return local_indptr, local_indices
-    lu, lv = _local_edge_list(local_indptr, local_indices)
-    return _build_csr(n, np.concatenate([lu, long_u]), np.concatenate([lv, long_v]))
 
 
 def _candidate_pairs_grid(positions, side, radio_range, boundary, n_cells):
@@ -232,8 +241,8 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
             stacklevel=2,
         )
 
-    edges_u: list[np.ndarray] = []
-    edges_v: list[np.ndarray] = []
+    edges_u = [np.empty(0, dtype=np.int64)]
+    edges_v = [np.empty(0, dtype=np.int64)]
     if radio_range > 0 and n > 1:
         n_cells = int(side // radio_range)
         if n_cells >= _MIN_GRID_CELLS:
@@ -248,27 +257,8 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
             edges_u.append(ci[keep])
             edges_v.append(cj[keep])
 
-    if edges_u:
-        u = np.concatenate(edges_u)
-        v = np.concatenate(edges_v)
-    else:
-        u = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.int64)
-    indptr, indices = _build_csr(n, u, v)
-
-    empty = np.empty(0)
-    return Network(
-        n_nodes=n,
-        side=float(side),
-        boundary=boundary,
-        radio_range=float(radio_range),
-        positions=positions,
-        local_indptr=indptr,
-        local_indices=indices,
-        long_u=np.empty(0, dtype=np.int64),
-        long_v=np.empty(0, dtype=np.int64),
-        long_length=empty,
-    )
+    u, v = np.concatenate(edges_u), np.concatenate(edges_v)
+    return Network.from_edges(positions, u, v, side, boundary, radio_range)
 
 
 def components(net: Network) -> ComponentLabeling:

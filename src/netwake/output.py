@@ -20,7 +20,7 @@ from . import __version__
 from .cascade import CascadeOutcome
 from .geometry import pair_distances
 from .montecarlo import SweepRow
-from .network import Network, _local_edge_list
+from .network import Network
 
 SWEEP_HEADER = [
     "axis1", "axis2", "p_global", "p_global_se", "mean_time", "mean_time_se",
@@ -126,7 +126,7 @@ def export_snapshot(
     if active.size != net.n_nodes:
         raise ValueError(f"state covers {active.size} nodes, network has {net.n_nodes}")
 
-    lu, lv = _local_edge_list(net.local_indptr, net.local_indices)
+    lu, lv = net.local_edges()
     local_d = pair_distances(net.positions[lu], net.positions[lv], net.side, net.boundary)
 
     with open(destination, "w", newline="") as fh:

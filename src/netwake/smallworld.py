@@ -15,7 +15,7 @@ metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -99,9 +99,10 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
     """Return a new network with round(p_r * N) extra long-range links.
 
     Local edges are untouched. Self-loops and duplicates of any existing
-    edge (local or long) are rejected and redrawn; after
-    MAX_ATTEMPTS_PER_LINK consecutive rejections a LinkSamplingError is
-    raised (the scheme is infeasible on this network).
+    edge (local or long) are rejected and redrawn. A LinkSamplingError
+    means the links do not fit this network: fewer unused node pairs
+    remain than links are asked for, or MAX_ATTEMPTS_PER_LINK consecutive
+    draws were rejected (the scheme looks infeasible).
     """
     n = net.n_nodes
     n_new = int(round(scheme.p_r * n))
@@ -110,7 +111,7 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
 
     capacity = n * (n - 1) // 2 - net.n_local_edges - net.n_long_edges
     if n_new > capacity:
-        raise ValueError(
+        raise LinkSamplingError(
             f"cannot add {n_new} links: only {capacity} unused node pairs remain"
         )
 
@@ -155,22 +156,9 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
             if found == n_new:
                 break
 
-    return Network(
-        n_nodes=n,
-        side=net.side,
-        boundary=net.boundary,
-        radio_range=net.radio_range,
-        positions=net.positions,
-        local_indptr=net.local_indptr,
-        local_indices=net.local_indices,
+    return replace(
+        net,
         long_u=np.concatenate([net.long_u, new_u]),
         long_v=np.concatenate([net.long_v, new_v]),
         long_length=np.concatenate([net.long_length, new_d]),
     )
-
-
-def mean_long_range_length(net: Network) -> float:
-    """Arithmetic mean of the recorded long-range link lengths."""
-    if net.n_long_edges == 0:
-        raise ValueError("network has no long-range links; mean length is undefined")
-    return float(net.long_length.mean())

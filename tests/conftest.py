@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from netwake.geometry import BoundaryMode
-from netwake.network import Network, _build_csr
+from netwake.network import Network
 
 
 def network_from_edges(n: int, edges, side: float = 1.0, radio_range: float = 1.0) -> Network:
@@ -22,19 +22,7 @@ def network_from_edges(n: int, edges, side: float = 1.0, radio_range: float = 1.
         u, v = (np.array(x, dtype=np.int64) for x in zip(*edges))
     else:
         u = v = np.empty(0, dtype=np.int64)
-    indptr, indices = _build_csr(n, u, v)
-    return Network(
-        n_nodes=n,
-        side=side,
-        boundary=BoundaryMode.TORUS,
-        radio_range=radio_range,
-        positions=np.zeros((n, 2)),
-        local_indptr=indptr,
-        local_indices=indices,
-        long_u=np.empty(0, dtype=np.int64),
-        long_v=np.empty(0, dtype=np.int64),
-        long_length=np.empty(0),
-    )
+    return Network.from_edges(np.zeros((n, 2)), u, v, side, BoundaryMode.TORUS, radio_range)
 
 
 def star_network(n_leaves: int = 4) -> Network:

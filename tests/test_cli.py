@@ -136,6 +136,11 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("netwake: infeasible experiment:")
 
+    def test_exhausted_link_budget_is_infeasible(self, tmp_path, capsys):
+        cfg = write(tmp_path, "full.conf", "phi = 0.1\nR = 16\nn_nodes = 5\nL = 10\nboundary = planar\np_r = 1\n")
+        assert main(["run", "--config", cfg]) == EXIT_INFEASIBLE
+        assert "unused node pairs" in capsys.readouterr().err
+
     def test_io_error(self, tmp_path):
         cfg = write(tmp_path, "s.conf", SWEEP_DOC)
         missing = str(tmp_path / "no_such_dir" / "x.csv")

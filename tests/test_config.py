@@ -107,6 +107,17 @@ class TestErrors:
             parse_config(doc)
         assert err.value.key == key and err.value.line == line
 
+    @pytest.mark.parametrize("key", ["n_runs", "n_nodes", "max_steps", "master_seed"])
+    def test_infinite_integer_rejected_at_its_key(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"phi = 0.1\nR = 16\n{key} = inf\n")
+        assert err.value.key == key and err.value.line == 3
+
+    def test_seed_ids_beyond_node_count_rejected_at_their_key(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("phi = 0.1\nR = 16\nseed_rule = explicit\nseed_nodes = 3, 999\nn_nodes = 50\n")
+        assert err.value.key == "seed_nodes" and err.value.line == 4
+
     def test_fractional_integer_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("phi=0.1\nR=16\nn_runs=10.5\n")

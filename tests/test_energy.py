@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,11 +98,12 @@ class TestAccounting:
         assert report.local_energy == 4.0
 
     def _net_with_long(self, times_by_pair):
-        net = network_from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        net.long_u = np.array([p[0] for p in times_by_pair], dtype=np.int64)
-        net.long_v = np.array([p[1] for p in times_by_pair], dtype=np.int64)
-        net.long_length = np.array([p[2] for p in times_by_pair], dtype=float)
-        return net
+        return replace(
+            network_from_edges(6, [(0, 1), (1, 2), (3, 4)]),
+            long_u=np.array([p[0] for p in times_by_pair], dtype=np.int64),
+            long_v=np.array([p[1] for p in times_by_pair], dtype=np.int64),
+            long_length=np.array([p[2] for p in times_by_pair], dtype=float),
+        )
 
     def test_long_link_charged_once_per_touched_link(self):
         net = self._net_with_long([(0, 5, 30.0), (2, 3, 50.0)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from netwake import montecarlo
 from netwake.cascade import CascadeParams, SeedSpec
 from netwake.errors import EstimationError, ExperimentInfeasibleError
 from netwake.geometry import BoundaryMode, sample_points
@@ -94,6 +95,14 @@ class TestRunReplicates:
             run_replicates(small_cfg(radio_range=0.0, n_runs=3))
         assert err.value.failure_count == 3
 
+    def test_exhausted_link_budget_is_infeasible(self):
+        # Five nodes all within range of each other leave no pair for a long link.
+        cfg = small_cfg(n_nodes=5, side=10.0, boundary=BoundaryMode.PLANAR, n_runs=2,
+                        scheme=LinkScheme.uniform(1.0))
+        with pytest.raises(ExperimentInfeasibleError) as err:
+            run_replicates(cfg)
+        assert err.value.failure_count == 2
+
 
 class TestSweep:
     def test_single_cell_matches_run_replicates(self):
@@ -149,6 +158,20 @@ class TestSweep:
         spec = SweepSpec(base=small_cfg(n_runs=2), axis1=SweepAxis("d_c", (10.0, 20.0)))
         rows = sweep(spec)
         assert all(r.stats is None and "d_c" in r.error for r in rows)
+
+    def test_seed_ids_beyond_a_cell_node_count_flag_the_cell(self):
+        base = small_cfg(n_runs=2, cascade=CascadeParams(phi=0.1, seed_spec=SeedSpec.explicit([100])))
+        rows = sweep(SweepSpec(base=base, axis1=SweepAxis("n_nodes", (50.0, 400.0))))
+        assert rows[0].stats is None and "seed node ids" in rows[0].error
+        assert rows[1].stats is not None
+
+    def test_replicate_errors_are_not_flagged_cells(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken cascade")
+
+        monkeypatch.setattr(montecarlo, "run_cascade", broken)
+        with pytest.raises(ValueError, match="broken cascade"):
+            sweep(SweepSpec(base=small_cfg(n_runs=2), axis1=SweepAxis("R", (16.0,))))
 
     def test_cell_seed_depends_on_values_not_position(self):
         cfg = small_cfg()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,12 @@ def test_concat_ranges():
     out = concat_ranges(np.array([5, 0, 9]), np.array([3, 0, 2]))
     np.testing.assert_array_equal(out, [5, 6, 7, 9, 10])
     assert concat_ranges(np.array([], dtype=int), np.array([], dtype=int)).size == 0
+
+
+def test_network_is_frozen():
+    net = network_from_edges(3, [(0, 1)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.long_u = np.array([2], dtype=np.int64)
 
 
 class TestBuildRgg:

@@ -6,7 +6,7 @@ import netwake.smallworld as sw
 from netwake.errors import LinkSamplingError
 from netwake.geometry import BoundaryMode, sample_points
 from netwake.network import build_rgg
-from netwake.smallworld import LinkScheme, add_long_range_links, mean_long_range_length
+from netwake.smallworld import LinkScheme, add_long_range_links
 
 from conftest import edge_set, network_from_edges
 
@@ -133,24 +133,5 @@ class TestAddLinks:
 
     def test_link_budget_checked(self):
         net = network_from_edges(3, [(0, 1), (1, 2), (0, 2)])  # complete
-        with pytest.raises(ValueError):
+        with pytest.raises(LinkSamplingError):
             add_long_range_links(net, LinkScheme.uniform(1.0), np.random.default_rng(1))
-
-
-class TestMeanLength:
-    def _with_links(self, lengths):
-        net = network_from_edges(10, [(0, 1)])
-        net.long_u = np.arange(2, 2 + len(lengths), dtype=np.int64)
-        net.long_v = np.arange(5, 5 + len(lengths), dtype=np.int64)
-        net.long_length = np.array(lengths, dtype=float)
-        return net
-
-    def test_single_link(self):
-        assert mean_long_range_length(self._with_links([40.0])) == 40.0
-
-    def test_two_links(self):
-        assert mean_long_range_length(self._with_links([10.0, 30.0])) == 20.0
-
-    def test_undefined_without_links(self):
-        with pytest.raises(ValueError):
-            mean_long_range_length(network_from_edges(3, [(0, 1)]))
