@@ -158,13 +158,13 @@ class ComponentLabeling:
 
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR with sorted neighbor lists from an undirected edge list."""
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    src = np.concatenate([u, v]).astype(np.int64, copy=False)
+    dst = np.concatenate([v, u]).astype(np.int64, copy=False)
+    # One sort of the key src * n + dst orders by source, then by neighbor.
+    key = np.sort(src * n + dst)
     counts = np.bincount(src, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return indptr, indices.astype(np.int64)
+    return indptr, key % n
 
 
 def _candidate_pairs_grid(positions, side, radio_range, boundary, n_cells):

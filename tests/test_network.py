@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netwake.geometry import BoundaryMode, expected_degree, sample_points
-from netwake.network import build_rgg, components, concat_ranges, giant_fraction
+from netwake.network import _build_csr, build_rgg, components, concat_ranges, giant_fraction
 
 from conftest import bfs_labeling, brute_force_edges, edge_set, network_from_edges
 
@@ -16,6 +16,22 @@ def test_concat_ranges():
     out = concat_ranges(np.array([5, 0, 9]), np.array([3, 0, 2]))
     np.testing.assert_array_equal(out, [5, 6, 7, 9, 10])
     assert concat_ranges(np.array([], dtype=int), np.array([], dtype=int)).size == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_build_csr_matches_lexsort_order(seed):
+    # Oracle: neighbor lists ordered by a two-key lexsort of (source, neighbor),
+    # on edge lists with repeats, isolated nodes and both orientations.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    u = rng.integers(0, n, 200)
+    v = rng.integers(0, n, 200)
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    indptr, indices = _build_csr(n, u, v)
+    np.testing.assert_array_equal(indices, dst[order])
+    np.testing.assert_array_equal(indptr, np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]))
+    assert indptr.dtype == indices.dtype == np.int64
 
 
 def test_network_is_frozen():
