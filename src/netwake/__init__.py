@@ -63,20 +63,14 @@ from .montecarlo import (
     run_replicates,
     sweep,
 )
-from .network import (
-    ComponentLabeling,
-    Network,
-    build_rgg,
-    components,
-    giant_fraction,
-)
+from .network import Network, build_rgg
 from .smallworld import LinkScheme, SchemeKind, add_long_range_links
 
 __all__ = [
     "__version__",
     "BoundaryMode", "distance", "pair_distances", "sample_points",
     "expected_degree", "range_for_degree",
-    "Network", "ComponentLabeling", "build_rgg", "components", "giant_fraction",
+    "Network", "build_rgg",
     "LinkScheme", "SchemeKind", "add_long_range_links",
     "CascadeParams", "CascadeState", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",
     "initial_state", "select_seed", "step_synchronous",

@@ -1,4 +1,4 @@
-"""Random geometric network construction and component analysis.
+"""Random geometric network construction.
 
 A network is built from node positions and a shared radio range R: two
 nodes are linked when their distance is <= R. Construction bins points
@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import BoundaryMode, pair_distances
 
@@ -122,38 +120,6 @@ class Network:
     @property
     def mean_local_degree(self) -> float:
         return 2.0 * self.n_local_edges / self.n_nodes
-
-    def validate(self, check_geometry: bool = True) -> None:
-        """Assert structural invariants; used by tests, not the hot path."""
-        deg = np.diff(self.local_indptr)
-        assert deg.sum() == self.local_indices.size
-        for u in range(self.n_nodes):
-            nbrs = self.local_neighbors(u)
-            assert np.all(np.diff(nbrs) > 0), "neighbor lists must be sorted and duplicate-free"
-            assert u not in nbrs, "self-loop"
-            for v in nbrs:
-                assert u in self.local_neighbors(int(v)), "asymmetric edge"
-        if check_geometry and self.n_nodes > 0:
-            u, v = self.local_edges()
-            d = pair_distances(self.positions[u], self.positions[v], self.side, self.boundary)
-            assert np.all(d <= self.radio_range + 1e-9), "local edge longer than radio range"
-            if self.n_long_edges:
-                d_long = pair_distances(
-                    self.positions[self.long_u], self.positions[self.long_v], self.side, self.boundary
-                )
-                assert np.allclose(d_long, self.long_length), "recorded long-link length mismatch"
-
-
-@dataclass
-class ComponentLabeling:
-    """Connected-component partition: per-node label and per-label size.
-
-    Labels are assigned in order of each component's smallest member id,
-    so the labeling is deterministic for a given edge set.
-    """
-
-    labels: np.ndarray
-    sizes: np.ndarray
 
 
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,30 +225,3 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
 
     u, v = np.concatenate(edges_u), np.concatenate(edges_v)
     return Network.from_edges(positions, u, v, side, boundary, radio_range)
-
-
-def components(net: Network) -> ComponentLabeling:
-    """Label connected components over local plus long-range edges."""
-    n = net.n_nodes
-    graph = csr_matrix(
-        (np.ones(net.adj_indices.size, dtype=np.int8), net.adj_indices, net.adj_indptr),
-        shape=(n, n),
-    )
-    _, raw = connected_components(graph, directed=False)
-    # Relabel so component 0 contains node 0, component 1 the smallest
-    # node outside it, and so on.
-    _, first_idx = np.unique(raw, return_index=True)
-    rank = np.empty(first_idx.size, dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(first_idx.size)
-    labels = rank[raw]
-    sizes = np.bincount(labels)
-    return ComponentLabeling(labels=labels, sizes=sizes)
-
-
-def giant_fraction(labeling: ComponentLabeling, n: int) -> float:
-    """Largest component size as a fraction of n."""
-    if n <= 0:
-        raise ValueError(f"node count must be positive, got {n}")
-    if labeling.labels.size != n:
-        raise ValueError(f"labeling covers {labeling.labels.size} nodes, expected {n}")
-    return float(labeling.sizes.max()) / n

@@ -1,24 +1,49 @@
 """Long-range link augmentation of a geometric backbone.
 
 Adds exactly round(p_r * N) extra links on top of the local edges (links
-are added, never rewired). Three pair-selection schemes control how link
-probability depends on the pair distance d:
+are added, never rewired). Three pair-selection schemes give each node
+pair a weight w(d) that depends on the pair distance d:
 
-* uniform: no restriction on d;
-* powerlaw: acceptance proportional to d**(-delta), flat below one length
-  unit to avoid the d -> 0 singularity. The envelope depends on units:
-  the same deployment measured in other units gets a different flat
-  region and a different acceptance rate;
-* cutoff: uniform among pairs with d <= d_c, zero beyond.
+* uniform: w = 1;
+* powerlaw: w = d**(-delta), flat below one length unit to avoid the
+  d -> 0 singularity. The weights depend on units: the same deployment
+  measured in other units gets a different flat region;
+* cutoff: w = 1 for d <= d_c, 0 beyond.
 
-Links are drawn by rejection: uniform node pairs, accepted by the scheme
-and kept when they are neither a self-loop nor an existing edge, in draw
-order. Draws come in batches that numpy filters as a whole. The first
-batch holds 4 draws per link (at least _BATCH_MIN), so a scheme that
-accepts most draws is done in one batch; each later batch doubles the
-previous one, up to _BATCH_MAX. The stop rule counts consecutive rejected
-draws across batch boundaries: MAX_ATTEMPTS_PER_LINK of them in a row
-raise LinkSamplingError.
+Each new link is a free pair (neither a self-loop nor an existing local
+or long edge) drawn with probability proportional to w(d) among the free
+pairs. Candidate pairs come in batches that numpy filters as a whole:
+self, local and duplicate pairs are dropped in draw order, so each link
+is the first free candidate after the previous one.
+
+Uniform candidates are uniform node pairs, 4 per link in each batch (at
+least _BATCH_MIN). Power-law and cutoff candidates come from an exact
+cell-offset sampler. Nodes are binned into a G x G grid of cells,
+G = floor(L / (R/2)) (at least 1, at most 2 sqrt(N) + 1). For each cell
+offset o (min-image on the torus, unwrapped on the plane), dmin(o) is
+the least distance between points of two cells at that offset, and
+B(o) = w(max(dmin(o), R)). A proposal draws o with probability
+proportional to B(o), a node u uniformly, and a slot uniformly below the
+largest cell count; it is kept when the cell of u shifted by o holds that
+slot, whose node is v, and is then accepted with probability w(d)/B(o).
+Each ordered pair (u, v) is thus accepted with probability proportional
+to w(d). The R floor in B(o) needs one precondition, which every network
+from ``build_rgg`` meets: every pair within R is a local edge.
+
+Infeasibility is decided exactly, never by a count of rejected draws. A
+LinkSamplingError means that:
+
+* fewer free pairs remain than links are asked for (every scheme); for
+  uniform links this is the whole rule, since every free pair can be
+  drawn;
+* a cutoff d_c does not exceed R, so every pair within d_c is local;
+* after _STALL_BATCHES batches in a row without a new link, an exact
+  count of the free pairs of positive weight (R < d <= d_c for the
+  cutoff) finds fewer than the links still missing. If enough remain,
+  sampling goes on, and the count is never repeated, since each placed
+  link uses up one counted pair. A power-law pair has positive weight
+  unless d**(-delta) underflows, so for the power law this count only
+  ever confirms the capacity check.
 
 Every added link records its length under the network's own boundary
 metric.
@@ -26,21 +51,24 @@ metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import LinkSamplingError
-from .geometry import pair_distances
-from .network import Network
-
-# Consecutive rejected draws tolerated before giving up (guards schemes that
-# fit no unused pair of this network).
-MAX_ATTEMPTS_PER_LINK = 10_000_000
+from .geometry import BoundaryMode, pair_distances
+from .network import Network, concat_ranges
 
 _BATCH_MIN = 256
-_BATCH_MAX = 1 << 16
+# Proposals per batch of the cell-offset sampler.
+_PROPOSALS = 1 << 12
+# Batches in a row without a new link before the exact count of free pairs.
+_STALL_BATCHES = 256
+# (node, cell offset) combinations per chunk of that count.
+_COUNT_CHUNK = 1 << 18
 
 
 class SchemeKind(Enum):
@@ -96,16 +124,88 @@ class LinkScheme:
     def cutoff(cls, p_r: float, d_c: float) -> "LinkScheme":
         return cls(SchemeKind.CUTOFF, p_r, d_c=d_c)
 
+    def weight(self, d: np.ndarray) -> np.ndarray:
+        """Pair weight w(d), nonincreasing in d."""
+        if self.kind is SchemeKind.CUTOFF:
+            return (d <= self.d_c).astype(float)
+        if self.kind is SchemeKind.POWER_LAW:
+            return np.maximum(d, 1.0) ** -self.delta
+        return np.ones(np.shape(d))
 
-def _scheme_accepts(scheme: LinkScheme, d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if scheme.kind is SchemeKind.UNIFORM:
-        return np.ones(d.size, dtype=bool)
-    if scheme.kind is SchemeKind.CUTOFF:
-        return d <= scheme.d_c
-    # Power law: accept with probability d**(-delta), unconditionally below
-    # one length unit (the envelope of the rejection sampler).
-    prob = np.where(d < 1.0, 1.0, np.maximum(d, 1.0) ** (-scheme.delta))
-    return rng.random(d.size) < prob
+
+_Candidates = tuple[np.ndarray, np.ndarray, np.ndarray]  # u, v, distance, in draw order
+
+
+class _CellSampler:
+    """Exact cell-offset proposals for a nonincreasing pair weight."""
+
+    def __init__(self, net: Network, weight: Callable[[np.ndarray], np.ndarray]):
+        n, side, r = net.n_nodes, net.side, net.radio_range
+        # Cells of side about R/2, at most about 4N of them (R may be tiny or 0).
+        cap = 2 * math.isqrt(n) + 1
+        g = cap if r * cap <= 2 * side else max(1, int(side // (r / 2)))
+        coords = np.minimum((net.positions / (side / g)).astype(np.int64), g - 1)
+        cell = coords[:, 0] * g + coords[:, 1]
+        self.counts = np.bincount(cell, minlength=g * g)
+        self.max_count = int(self.counts.max())
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)])[:-1]
+        self.by_cell = np.argsort(cell, kind="stable")
+
+        self.torus = net.boundary is BoundaryMode.TORUS
+        steps = np.arange(g) if self.torus else np.arange(1 - g, g)
+        gaps = np.minimum(steps, g - steps) if self.torus else np.abs(steps)
+        gaps = np.maximum(gaps - 1, 0) * (side / g)
+        dmin = np.hypot(gaps[:, None], gaps[None, :]).ravel()
+        bound = weight(np.maximum(dmin, r))
+        # Ascending bounds keep every positive bound visible in the cumulative sum.
+        keep = np.argsort(bound, kind="stable")
+        keep = keep[bound[keep] > 0]
+        self.dx = np.repeat(steps, steps.size)[keep]
+        self.dy = np.tile(steps, steps.size)[keep]
+        self.bound = bound[keep]
+        self.cum = np.cumsum(self.bound)
+        self.net, self.weight, self.g, self.coords = net, weight, g, coords
+
+    def _target_cells(self, u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell of node u shifted by offset k, and the mask of shifts inside the grid."""
+        g = self.g
+        tx = self.coords[u, 0] + self.dx[k]
+        ty = self.coords[u, 1] + self.dy[k]
+        if self.torus:
+            return (tx % g) * g + ty % g, np.ones(tx.shape, dtype=bool)
+        inside = (tx >= 0) & (tx < g) & (ty >= 0) & (ty < g)
+        return np.where(inside, tx * g + ty, 0), inside
+
+    def propose(self, rng: np.random.Generator) -> _Candidates:
+        """One batch of accepted proposals."""
+        net = self.net
+        k = np.searchsorted(self.cum, rng.random(_PROPOSALS) * self.cum[-1], side="right")
+        k = np.minimum(k, self.cum.size - 1)
+        u = rng.integers(0, net.n_nodes, _PROPOSALS)
+        slot = rng.integers(0, self.max_count, _PROPOSALS)
+        b, inside = self._target_cells(u, k)
+        kept = np.flatnonzero(inside & (slot < self.counts[b]))
+        u, k = u[kept], k[kept]
+        v = self.by_cell[self.starts[b[kept]] + slot[kept]]
+        d = pair_distances(net.positions[u], net.positions[v], net.side, net.boundary)
+        accept = rng.random(d.size) * self.bound[k] < self.weight(d)
+        return u[accept], v[accept], d[accept]
+
+    def positive_pairs(self) -> Iterator[np.ndarray]:
+        """Keys of every pair u < v of positive weight, in chunks."""
+        n = self.net.n_nodes
+        nodes = np.arange(n)
+        step = max(1, _COUNT_CHUNK // n)
+        for lo in range(0, self.cum.size, step):
+            k = np.arange(lo, min(lo + step, self.cum.size))
+            u = np.repeat(nodes, k.size)
+            b, inside = self._target_cells(u, np.tile(k, n))
+            size = np.where(inside, self.counts[b], 0)
+            u = np.repeat(u, size)
+            v = self.by_cell[concat_ranges(self.starts[b], size)]
+            u, v = u[u < v], v[u < v]
+            d = pair_distances(self.net.positions[u], self.net.positions[v], self.net.side, self.net.boundary)
+            yield _pair_keys(u, v, n)[self.weight(d) > 0]
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -121,15 +221,57 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
+def _place_links(net: Network, n_new: int, propose: Callable[[], _Candidates],
+                 positive_pairs: Callable[[], Iterator[np.ndarray]] | None) -> _Candidates:
+    """The first ``n_new`` free candidate pairs, in draw order.
+
+    ``positive_pairs`` lists the pairs the scheme can place; it is counted
+    once, after _STALL_BATCHES batches in a row without a new link.
+    """
+    n = net.n_nodes
+    # Local edges as keys src * n + dst: ascending in CSR order, and both
+    # orientations are listed, so every pair key of a local edge is there.
+    local_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(net.local_indptr)) + net.local_indices
+    taken = np.sort(_pair_keys(net.long_u, net.long_v, n))
+
+    def free(keys):
+        return ~(_in_sorted(taken, keys) | _in_sorted(local_keys, keys))
+
+    placed = []
+    found = idle = 0
+    while found < n_new:
+        us, vs, d = propose()
+        keys = _pair_keys(us, vs, n)
+        cand = np.flatnonzero((us != vs) & free(keys))
+        keys = keys[cand]
+        _, first = np.unique(keys, return_index=True)
+        first = np.sort(first)[: n_new - found]
+        hits = cand[first]
+        placed.append((us[hits], vs[hits], d[hits]))
+        taken = np.sort(np.concatenate([taken, keys[first]]))
+        found += hits.size
+        idle = 0 if hits.size else idle + 1
+        if idle == _STALL_BATCHES and positive_pairs is not None:
+            left = sum(int(np.count_nonzero(free(chunk))) for chunk in positive_pairs())
+            if left < n_new - found:
+                raise LinkSamplingError(
+                    f"cannot add {n_new} links: {found} placed and only {left} "
+                    "more free node pairs have positive weight"
+                )
+            positive_pairs = None
+    return tuple(np.concatenate(parts) for parts in zip(*placed))
+
+
 def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Generator) -> Network:
     """Return a new network with round(p_r * N) extra long-range links.
 
     Local edges are untouched. Self-loops and duplicates of any existing
-    edge (local or long) are rejected and redrawn. A LinkSamplingError
-    means the links do not fit this network: fewer unused node pairs
-    remain than links are asked for, a cutoff d_c no longer than the radio
-    range leaves only local pairs, or MAX_ATTEMPTS_PER_LINK consecutive
-    draws were rejected (the scheme looks infeasible).
+    edge (local or long) are never placed. Power-law and cutoff links
+    assume that every pair within the radio range is a local edge, as in
+    any network from ``build_rgg``. A LinkSamplingError means the links do
+    not fit this network: fewer free node pairs remain than links are asked
+    for, a cutoff d_c no longer than the radio range leaves only local
+    pairs, or an exact count finds too few free pairs of positive weight.
     """
     n = net.n_nodes
     n_new = int(round(scheme.p_r * n))
@@ -147,50 +289,18 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
             "every pair within d_c is already a local edge"
         )
 
-    # Local edges as keys src * n + dst: ascending in CSR order, and both
-    # orientations are listed, so every pair key of a local edge is there.
-    local_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(net.local_indptr)) + net.local_indices
-    taken = np.sort(_pair_keys(net.long_u, net.long_v, n))
+    if scheme.kind is SchemeKind.UNIFORM:
+        batch = max(_BATCH_MIN, 4 * n_new)
 
-    placed = []
-    found = 0
-    run = 0  # rejected draws since the last placed link, across batches
-    batch = max(_BATCH_MIN, 4 * n_new)
-    while True:
-        us = rng.integers(0, n, batch)
-        vs = rng.integers(0, n, batch)
-        d = pair_distances(net.positions[us], net.positions[vs], net.side, net.boundary)
-        cand = np.flatnonzero(_scheme_accepts(scheme, d, rng) & (us != vs))
-        keys = _pair_keys(us[cand], vs[cand], n)
-        fresh = ~(_in_sorted(taken, keys) | _in_sorted(local_keys, keys))
-        cand, keys = cand[fresh], keys[fresh]
-        _, first = np.unique(keys, return_index=True)
-        first = np.sort(first)[: n_new - found]
-        hits = cand[first]
+        def propose():
+            us = rng.integers(0, n, batch)
+            vs = rng.integers(0, n, batch)
+            return us, vs, pair_distances(net.positions[us], net.positions[vs], net.side, net.boundary)
 
-        # Rejected draws before each placed draw, the first counting the run
-        # carried over from earlier batches.
-        gaps = np.diff(hits, prepend=-1 - run) - 1
-        over = np.flatnonzero(gaps >= MAX_ATTEMPTS_PER_LINK)
-        if over.size:
-            found += int(over[0])
-            break
-        placed.append((us[hits], vs[hits], d[hits]))
-        taken = np.sort(np.concatenate([taken, keys[first]]))
-        found += hits.size
-        if found == n_new:
-            break
-        run = batch - 1 - int(hits[-1]) if hits.size else run + batch
-        if run >= MAX_ATTEMPTS_PER_LINK:
-            break
-        batch = max(batch, min(2 * batch, _BATCH_MAX))
-
-    if found < n_new:
-        raise LinkSamplingError(
-            f"gave up after {MAX_ATTEMPTS_PER_LINK} rejected draws for one link "
-            f"({found} of {n_new} placed); the {scheme.kind.value} scheme looks infeasible"
-        )
-    new_u, new_v, new_d = (np.concatenate(parts) for parts in zip(*placed))
+        new_u, new_v, new_d = _place_links(net, n_new, propose, None)
+    else:
+        sampler = _CellSampler(net, scheme.weight)
+        new_u, new_v, new_d = _place_links(net, n_new, lambda: sampler.propose(rng), sampler.positive_pairs)
     return replace(
         net,
         long_u=np.concatenate([net.long_u, new_u]),

@@ -2,17 +2,22 @@
 
 The oracles here (brute-force edge sets, BFS components, full-rescan
 fixed points) deliberately avoid the library's own algorithms so the
-tests check two independent routes to the same answer.
+tests check two independent routes to the same answer. The structural
+checks and the component labeling (scipy) serve only tests, so they
+live here rather than in the numpy-only package.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from netwake.geometry import BoundaryMode
+from netwake.geometry import BoundaryMode, pair_distances
 from netwake.network import Network
 
 
@@ -124,6 +129,62 @@ def edge_set(net: Network) -> set[tuple[int, int]]:
         for v in net.local_neighbors(u):
             pairs.add((min(u, int(v)), max(u, int(v))))
     return pairs
+
+
+def validate_network(net: Network) -> None:
+    """Check a network's structural invariants, one node at a time."""
+    deg = np.diff(net.local_indptr)
+    assert deg.sum() == net.local_indices.size
+    for u in range(net.n_nodes):
+        nbrs = net.local_neighbors(u)
+        assert np.all(np.diff(nbrs) > 0), "neighbor lists must be sorted and duplicate-free"
+        assert u not in nbrs, "self-loop"
+        for v in nbrs:
+            assert u in net.local_neighbors(int(v)), "asymmetric edge"
+    u, v = net.local_edges()
+    d = pair_distances(net.positions[u], net.positions[v], net.side, net.boundary)
+    assert np.all(d <= net.radio_range + 1e-9), "local edge longer than radio range"
+    d_long = pair_distances(net.positions[net.long_u], net.positions[net.long_v], net.side, net.boundary)
+    assert np.allclose(d_long, net.long_length), "recorded long-link length mismatch"
+
+
+@dataclass
+class ComponentLabeling:
+    """Connected-component partition: per-node label and per-label size.
+
+    Labels are assigned in order of each component's smallest member id,
+    so the labeling is deterministic for a given edge set.
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray
+
+
+def components(net: Network) -> ComponentLabeling:
+    """Label connected components over local plus long-range edges."""
+    n = net.n_nodes
+    graph = csr_matrix(
+        (np.ones(net.adj_indices.size, dtype=np.int8), net.adj_indices, net.adj_indptr),
+        shape=(n, n),
+    )
+    _, raw = connected_components(graph, directed=False)
+    # Relabel so component 0 contains node 0, component 1 the smallest
+    # node outside it, and so on.
+    _, first_idx = np.unique(raw, return_index=True)
+    rank = np.empty(first_idx.size, dtype=np.int64)
+    rank[np.argsort(first_idx, kind="stable")] = np.arange(first_idx.size)
+    labels = rank[raw]
+    sizes = np.bincount(labels)
+    return ComponentLabeling(labels=labels, sizes=sizes)
+
+
+def giant_fraction(labeling: ComponentLabeling, n: int) -> float:
+    """Largest component size as a fraction of n."""
+    if n <= 0:
+        raise ValueError(f"node count must be positive, got {n}")
+    if labeling.labels.size != n:
+        raise ValueError(f"labeling covers {labeling.labels.size} nodes, expected {n}")
+    return float(labeling.sizes.max()) / n
 
 
 @pytest.fixture

@@ -19,8 +19,10 @@ from netwake.montecarlo import (
     run_replicates,
     sweep,
 )
-from netwake.network import build_rgg, components, giant_fraction
+from netwake.network import build_rgg
 from netwake.smallworld import LinkScheme
+
+from conftest import components, giant_fraction
 
 
 def small_cfg(**overrides) -> ExperimentConfig:

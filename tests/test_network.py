@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from netwake.geometry import BoundaryMode, expected_degree, sample_points
-from netwake.network import _build_csr, build_rgg, components, concat_ranges, giant_fraction
+from netwake.network import _build_csr, build_rgg, concat_ranges
 
-from conftest import bfs_labeling, brute_force_edges, edge_set, network_from_edges
+from conftest import (
+    bfs_labeling,
+    brute_force_edges,
+    components,
+    edge_set,
+    giant_fraction,
+    network_from_edges,
+    validate_network,
+)
 
 TORUS = BoundaryMode.TORUS
 PLANAR = BoundaryMode.PLANAR
@@ -63,7 +71,7 @@ class TestBuildRgg:
         pts = sample_points(n, 100.0, rng)
         net = build_rgg(pts, radio, 100.0, boundary)
         assert edge_set(net) == brute_force_edges(pts, radio, 100.0, boundary)
-        net.validate()
+        validate_network(net)
 
     def test_permutation_invariant(self, rng):
         pts = sample_points(200, 100.0, rng)

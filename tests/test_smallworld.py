@@ -3,12 +3,13 @@ import pytest
 from scipy.stats import ks_2samp
 
 import netwake.smallworld as sw
+from netwake.energy import EnergyModel, long_range_energy
 from netwake.errors import LinkSamplingError
 from netwake.geometry import BoundaryMode, sample_points
 from netwake.network import build_rgg
 from netwake.smallworld import LinkScheme, add_long_range_links
 
-from conftest import edge_set, network_from_edges
+from conftest import edge_set, network_from_edges, validate_network
 
 TORUS = BoundaryMode.TORUS
 PLANAR = BoundaryMode.PLANAR
@@ -71,7 +72,7 @@ class TestAddLinks:
 
     def test_recorded_lengths_match_metric(self, backbone, rng):
         net = add_long_range_links(backbone, LinkScheme.uniform(0.005), rng)
-        net.validate()
+        validate_network(net)
 
     def test_cutoff_respects_dc_and_shortens_links(self, backbone):
         # Oracle: exhaustive check of the recorded lengths, then a direct
@@ -123,13 +124,12 @@ class TestAddLinks:
         pairs = {tuple(sorted(p)) for p in zip(twice.long_u.tolist(), twice.long_v.tolist())}
         assert len(pairs) == 100
 
-    def test_infeasible_cutoff_raises(self, monkeypatch):
-        # Two nodes 50 apart, cutoff 1: every draw is rejected.
-        monkeypatch.setattr(sw, "MAX_ATTEMPTS_PER_LINK", 2000)
+    def test_infeasible_cutoff_raises(self):
+        # Two nodes 50 apart, R = 5, cutoff 10: the one free pair is too long.
         pts = np.array([[10.0, 10.0], [60.0, 10.0]])
         net = build_rgg(pts, 5.0, 100.0, PLANAR)
-        with pytest.raises(LinkSamplingError):
-            add_long_range_links(net, LinkScheme.cutoff(0.5, 1.0), np.random.default_rng(1))
+        with pytest.raises(LinkSamplingError, match="positive weight"):
+            add_long_range_links(net, LinkScheme.cutoff(0.5, 10.0), np.random.default_rng(1))
 
     def test_link_budget_checked(self):
         net = network_from_edges(3, [(0, 1), (1, 2), (0, 2)])  # complete
@@ -137,44 +137,17 @@ class TestAddLinks:
             add_long_range_links(net, LinkScheme.uniform(1.0), np.random.default_rng(1))
 
 
-def _walk_reference(net, scheme, rng, max_attempts):
-    """Oracle: the sampler's draws walked one by one in Python.
-
-    Same batch schedule and the same per-batch draws as the sampler, but a
-    plain loop decides each draw and counts consecutive rejections. Returns
-    the links as (u, v, length) tuples, or None where the walk gives up.
-    """
-    n = net.n_nodes
-    n_new = int(round(scheme.p_r * n))
-    taken, links = set(), []
-    attempts = 0
-    batch = max(sw._BATCH_MIN, 4 * n_new)
-    while True:
-        us = rng.integers(0, n, batch)
-        vs = rng.integers(0, n, batch)
-        d = sw.pair_distances(net.positions[us], net.positions[vs], net.side, net.boundary)
-        ok = sw._scheme_accepts(scheme, d, rng) & (us != vs)
-        for k in range(batch):
-            attempts += 1
-            if attempts > max_attempts:
-                return None
-            u, v = int(us[k]), int(vs[k])
-            pair = (min(u, v), max(u, v))
-            if not ok[k] or pair in taken or v in net.local_neighbors(u):
-                continue
-            taken.add(pair)
-            links.append((u, v, float(d[k])))
-            attempts = 0
-            if len(links) == n_new:
-                return links
-        batch = max(batch, min(2 * batch, sw._BATCH_MAX))
-
-
 @pytest.fixture(scope="module")
 def small_torus():
     # ~300 nodes at mean degree ~6: small enough to list every node pair.
     pts = sample_points(300, 100.0, np.random.default_rng(41))
     return build_rgg(pts, 8.0, 100.0, TORUS)
+
+
+@pytest.fixture(scope="module")
+def small_planar():
+    pts = sample_points(300, 100.0, np.random.default_rng(41))
+    return build_rgg(pts, 8.0, 100.0, PLANAR)
 
 
 def _eligible_lengths(net):
@@ -187,46 +160,37 @@ def _eligible_lengths(net):
 
 
 class TestSamplerExactness:
-    @pytest.mark.parametrize("scheme", [
-        LinkScheme.power_law(0.02, 2.0),
-        LinkScheme.cutoff(0.02, 20.0),
-    ], ids=["powerlaw", "cutoff"])
-    def test_lengths_follow_pair_weights(self, small_torus, scheme):
+    @pytest.mark.parametrize("boundary,scheme", [
+        ("torus", LinkScheme.power_law(0.02, 2.0)),
+        ("torus", LinkScheme.cutoff(0.02, 20.0)),
+        ("planar", LinkScheme.power_law(0.02, 2.0)),
+        ("planar", LinkScheme.cutoff(0.02, 20.0)),
+        ("torus", LinkScheme.power_law(0.004, 4.0)),
+        ("torus", LinkScheme.power_law(0.004, 6.0)),
+        ("planar", LinkScheme.power_law(0.004, 4.0)),
+        ("planar", LinkScheme.power_law(0.004, 6.0)),
+    ], ids=["powerlaw", "cutoff", "powerlaw-planar", "cutoff-planar",
+            "delta4", "delta6", "delta4-planar", "delta6-planar"])
+    def test_lengths_follow_pair_weights(self, request, boundary, scheme):
         # Oracle: lengths drawn straight from the list of eligible pairs,
-        # each weighted min(1, d**-delta) or by the cutoff indicator. Few
-        # links per call keep sampling without replacement close to the
-        # oracle's sampling with replacement.
-        d = _eligible_lengths(small_torus)
+        # each weighted min(1, d**-delta) or by the cutoff indicator. The
+        # oracle samples with replacement, the sampler without: 6 links per
+        # call keep the two close at delta 2 and for the cutoff, while the
+        # steep power laws, whose weight sits on a few short pairs, place
+        # one link per call.
+        net = request.getfixturevalue(f"small_{boundary}")
+        d = _eligible_lengths(net)
         if scheme.kind is sw.SchemeKind.POWER_LAW:
             w = np.minimum(1.0, d ** -scheme.delta)
         else:
             w = (d <= scheme.d_c).astype(float)
         expected = np.random.default_rng(7).choice(d, size=2000, p=w / w.sum())
+        per_call = int(round(scheme.p_r * net.n_nodes))
         got = np.concatenate([
-            add_long_range_links(small_torus, scheme, np.random.default_rng(1000 + k)).long_length
-            for k in range(2000 // 6)  # 6 links per call
+            add_long_range_links(net, scheme, np.random.default_rng(1000 + k)).long_length
+            for k in range(2000 // per_call)
         ])
         assert ks_2samp(got, expected).pvalue > 0.01
-
-    def test_stop_rule_matches_per_draw_walk(self, small_torus, monkeypatch):
-        # Batches of 24 then 32 draws and a budget of 60 rejections: runs of
-        # rejections span batch boundaries, and some replicates give up.
-        monkeypatch.setattr(sw, "_BATCH_MIN", 8)
-        monkeypatch.setattr(sw, "_BATCH_MAX", 32)
-        monkeypatch.setattr(sw, "MAX_ATTEMPTS_PER_LINK", 60)
-        scheme = LinkScheme.power_law(0.02, 1.0)
-        outcomes = []
-        for seed in range(40):
-            want = _walk_reference(small_torus, scheme, np.random.default_rng(seed), 60)
-            try:
-                net = add_long_range_links(small_torus, scheme, np.random.default_rng(seed))
-            except LinkSamplingError:
-                got = None
-            else:
-                got = list(zip(net.long_u.tolist(), net.long_v.tolist(), net.long_length.tolist()))
-            assert got == want, seed
-            outcomes.append(got is None)
-        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_in_batch_duplicates_near_capacity(self):
         # 12 nodes, 11 local edges: 55 free pairs for 54 links, so a batch
@@ -241,12 +205,20 @@ class TestSamplerExactness:
 
 
 class TestInfeasibility:
+    @pytest.mark.parametrize("delta", [3.0, 4.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_steep_powerlaw_places_every_link_at_reference_scale(self, backbone, delta, seed):
+        # A sampler that gives up after a run of rejected draws flagged these
+        # replicates infeasible, though the links exist.
+        out = add_long_range_links(backbone, LinkScheme.power_law(0.01, delta), np.random.default_rng(seed))
+        assert out.n_long_edges == 100
+        assert out.long_length.min() > 16.0
+
     @pytest.mark.parametrize("seed", [1, 3])
     def test_sparse_powerlaw_links_are_placed(self, seed):
-        # N=2500, L=500, R=16, delta=3: a non-local draw is accepted with
-        # probability ~2*pi/(R*L^2) = 1.6e-6, so one link often needs more
-        # than 10^6 draws. With a 10^6 budget these seeds gave up; the links
-        # exist, and 5 of them are placed.
+        # N=2500, L=500, R=16, delta=3: a uniform pair is accepted with
+        # probability ~2*pi/(R*L^2) = 1.6e-6, so a sampler that gives up
+        # after 10^6 rejected draws flagged these seeds infeasible.
         pts = sample_points(2500, 500.0, np.random.default_rng(31))
         net = build_rgg(pts, 16.0, 500.0, TORUS)
         out = add_long_range_links(net, LinkScheme.power_law(0.002, 3.0), np.random.default_rng(seed))
@@ -260,3 +232,57 @@ class TestInfeasibility:
         with pytest.raises(LinkSamplingError, match="radio range"):
             add_long_range_links(small_torus, LinkScheme.cutoff(0.02, d_c), rng)
         assert rng.bit_generator.state == before
+
+
+def _cutoff_pairs_network(boundary):
+    # R = 5, d_c = 8: (0, 1) and (2, 3) are 7 apart, every other pair is
+    # more than 8 apart, and no pair is local. So exactly two free pairs
+    # have positive weight, out of 10 free pairs.
+    pts = np.array([[10.0, 10.0], [17.0, 10.0], [50.0, 50.0], [50.0, 57.0], [80.0, 20.0]])
+    return build_rgg(pts, 5.0, 100.0, boundary)
+
+
+class TestCutoffCount:
+    @pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+    def test_exactly_enough_pairs_are_all_placed(self, boundary):
+        net = _cutoff_pairs_network(boundary)
+        out = add_long_range_links(net, LinkScheme.cutoff(0.4, 8.0), np.random.default_rng(4))
+        pairs = {tuple(sorted(p)) for p in zip(out.long_u.tolist(), out.long_v.tolist())}
+        assert pairs == {(0, 1), (2, 3)}
+        np.testing.assert_allclose(out.long_length, 7.0)
+
+    @pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+    def test_too_few_pairs_raise(self, boundary):
+        # Three links fit the 10 free pairs, but only two have d <= d_c.
+        net = _cutoff_pairs_network(boundary)
+        with pytest.raises(LinkSamplingError, match="2 placed and only 0 more"):
+            add_long_range_links(net, LinkScheme.cutoff(0.6, 8.0), np.random.default_rng(4))
+
+    def test_count_follows_existing_links(self):
+        # One of the two short pairs is already a long link: a second call
+        # can place the other one, but not two more.
+        net = _cutoff_pairs_network(PLANAR)
+        once = add_long_range_links(net, LinkScheme.cutoff(0.2, 8.0), np.random.default_rng(5))
+        assert once.n_long_edges == 1
+        twice = add_long_range_links(once, LinkScheme.cutoff(0.2, 8.0), np.random.default_rng(6))
+        assert sorted(map(tuple, np.sort(np.c_[twice.long_u, twice.long_v]).tolist())) == [(0, 1), (2, 3)]
+        with pytest.raises(LinkSamplingError):
+            add_long_range_links(once, LinkScheme.cutoff(0.4, 8.0), np.random.default_rng(6))
+
+
+def test_steeper_powerlaw_means_shorter_cheaper_links():
+    # The energy model charges c * R * d per long link, so a steeper
+    # distance law, which favours shorter links, lowers long-link energy.
+    pts = sample_points(2500, 500.0, np.random.default_rng(51))
+    net = build_rgg(pts, 16.0, 500.0, TORUS)
+    model = EnergyModel(1.0, 16.0)
+    mean_length, energy = [], []
+    for delta in (0.0, 1.0, 2.0, 3.0, 4.0):
+        lengths = np.concatenate([
+            add_long_range_links(net, LinkScheme.power_law(0.02, delta), np.random.default_rng(seed)).long_length
+            for seed in range(5)
+        ])
+        mean_length.append(lengths.mean())
+        energy.append(sum(long_range_energy(model, d) for d in lengths))
+    assert all(b < a for a, b in zip(mean_length, mean_length[1:]))
+    assert all(b < a for a, b in zip(energy, energy[1:]))
