@@ -48,10 +48,11 @@ def local_broadcast_energy(model: EnergyModel) -> float:
     return model.coefficient * model.radio_range**2
 
 
-def long_range_energy(model: EnergyModel, d: float) -> float:
-    """Cost of one long-range multi-hop transmission over distance d: c * R * d."""
-    if d < 0:
-        raise ValueError(f"link length must be nonnegative, got {d}")
+def long_range_energy(model: EnergyModel, d: float | np.ndarray) -> float | np.ndarray:
+    """Cost of a long-range multi-hop transmission over each distance d: c * R * d."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
+        raise ValueError(f"link length must be nonnegative, got {d.min()}")
     return model.coefficient * model.radio_range * d
 
 
@@ -87,9 +88,7 @@ def account_cascade(net: Network, outcome: CascadeOutcome, model: EnergyModel) -
     if net.n_long_edges:
         used = activated[net.long_u] | activated[net.long_v]
         n_used = int(used.sum())
-        e_long = float(
-            (model.coefficient * model.radio_range * net.long_length[used]).sum()
-        )
+        e_long = float(long_range_energy(model, net.long_length[used]).sum())
         d_bar = float(net.long_length.mean())
         p_r = net.n_long_edges / net.n_nodes
     else:

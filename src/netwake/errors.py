@@ -29,7 +29,9 @@ class SeedingError(NetwakeError):
 
 
 class LinkSamplingError(NetwakeError):
-    """Raised when long-range link sampling exhausts its rejection budget."""
+    """Raised when the links do not fit: fewer free node pairs remain than
+    links asked for, a cutoff d_c does not exceed the radio range, or an
+    exact count finds too few free pairs of positive weight."""
 
 
 class ExperimentInfeasibleError(NetwakeError):

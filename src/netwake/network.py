@@ -2,10 +2,12 @@
 
 A network is built from node positions and a shared radio range R: two
 nodes are linked when their distance is <= R. Construction bins points
-into a cell grid (cell side >= R) so the expected cost is O(N * mean
-degree) instead of O(N^2). Long-range links added later by the
-smallworld module live in a separate edge class but count as ordinary
-neighbors for adjacency queries and connectivity.
+into a ``CellGrid`` of cells at least R wide (and at most 2 sqrt(N) + 1
+per axis, so a tiny R cannot blow up the grid) and tests only the pairs
+of cells close enough to hold a pair within R: the expected cost is
+O(N * mean degree) instead of O(N^2), on grids of any size. Long-range
+links added later by the smallworld module live in a separate edge class
+but count as ordinary neighbors for adjacency queries and connectivity.
 
 ``Network`` is the one owner of the edge format: it is frozen, and it
 derives the merged adjacency and the degrees from its edge lists once,
@@ -15,21 +17,14 @@ on construction. A network with more links is a new ``Network``
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .geometry import BoundaryMode, pair_distances
-
-# Forward half of the 3x3 neighborhood; with the (0,0) self pass this
-# visits every unordered cell pair at most once.
-_STENCIL = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-# Below this many cells per axis the wrapped stencil would revisit pairs.
-_MIN_GRID_CELLS = 3
-
-_BRUTE_CHUNK = 512
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -44,6 +39,72 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return np.repeat(np.asarray(starts, dtype=np.int64), counts) + offsets
+
+
+class CellGrid:
+    """Nodes binned into a g x g grid of square cells, and the cell offsets.
+
+    Cells are at least ``min_cell`` wide, with at most 2 sqrt(N) + 1 per
+    axis (at least 1). ``coords`` holds each node's cell (x, y), ``counts``
+    and ``starts`` each cell's node count and first slot in ``order``, the
+    nodes sorted stably by cell id x * g + y.
+
+    Offset k shifts a cell by (dx[k], dy[k]): residues mod g on the torus,
+    signed in [1 - g, g - 1] on the plane. ``dmin[k]`` is the least
+    distance between points of two cells k apart, and ``inverse[k]`` is
+    the offset that shifts back.
+    """
+
+    def __init__(self, positions: np.ndarray, side: float, boundary: BoundaryMode, min_cell: float):
+        n = positions.shape[0]
+        cap = 2 * math.isqrt(n) + 1
+        self.g = g = cap if min_cell * cap <= side else max(1, int(side // min_cell))
+        self.torus = boundary is BoundaryMode.TORUS
+        self.coords = np.minimum((positions / (side / g)).astype(np.int64), g - 1)
+        cell = self.coords[:, 0] * g + self.coords[:, 1]
+        self.counts = np.bincount(cell, minlength=g * g)
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)])
+        self.order = np.argsort(cell, kind="stable")
+
+        steps = np.arange(g) if self.torus else np.arange(1 - g, g)
+        back = (-steps) % g if self.torus else steps[::-1] + g - 1
+        gaps = np.minimum(steps, g - steps) if self.torus else np.abs(steps)
+        gaps = np.maximum(gaps - 1, 0) * (side / g)
+        m = steps.size
+        self.dx = np.repeat(steps, m)
+        self.dy = np.tile(steps, m)
+        self.dmin = np.hypot(gaps[:, None], gaps[None, :]).ravel()
+        self.inverse = (back[:, None] * m + back[None, :]).ravel()
+
+    def shift(self, u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell of node u shifted by offset k, and the mask of shifts inside the grid."""
+        g = self.g
+        tx = self.coords[u, 0] + self.dx[k]
+        ty = self.coords[u, 1] + self.dy[k]
+        if self.torus:
+            return (tx % g) * g + ty % g, np.ones(tx.shape, dtype=bool)
+        inside = (tx >= 0) & (tx < g) & (ty >= 0) & (ty < g)
+        return np.where(inside, tx * g + ty, 0), inside
+
+    def pairs(self, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Node pairs (u, v) whose cells lie one of ``offsets`` apart, one offset at a time.
+
+        Each unordered pair u != v comes out once: of an offset and its
+        inverse only the first is visited, and an offset that is its own
+        inverse keeps u < v.
+        """
+        chosen = np.zeros(self.dx.size, dtype=bool)
+        chosen[offsets] = True
+        first = ~chosen[self.inverse] | (self.inverse >= np.arange(chosen.size))
+        nodes = np.arange(self.coords.shape[0])
+        for k in np.flatnonzero(chosen & first):
+            cell, inside = self.shift(nodes, k)
+            size = np.where(inside, self.counts[cell], 0)
+            u = np.repeat(nodes, size)
+            v = self.order[concat_ranges(self.starts[cell], size)]
+            if self.inverse[k] == k:
+                u, v = u[u < v], v[u < v]
+            yield u, v
 
 
 @dataclass(frozen=True)
@@ -133,62 +194,14 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return indptr, key % n
 
 
-def _candidate_pairs_grid(positions, side, radio_range, boundary, n_cells):
-    """Candidate index pairs from the cell grid (before the distance test)."""
-    cell_side = side / n_cells
-    coords = np.minimum((positions / cell_side).astype(np.int64), n_cells - 1)
-    cx, cy = coords[:, 0], coords[:, 1]
-    cell_id = cx * n_cells + cy
-
-    order = np.argsort(cell_id, kind="stable")
-    counts = np.bincount(cell_id, minlength=n_cells * n_cells)
-    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-    pairs_i = []
-    pairs_j = []
-
-    # Same-cell pairs: each sorted position pairs with the later ones in its cell.
-    sorted_cell = cell_id[order]
-    pos_in_order = np.arange(order.size, dtype=np.int64)
-    cell_end = starts[sorted_cell + 1]
-    intra_counts = cell_end - pos_in_order - 1
-    pairs_i.append(np.repeat(order, intra_counts))
-    pairs_j.append(order[concat_ranges(pos_in_order + 1, intra_counts)])
-
-    torus = boundary is BoundaryMode.TORUS
-    for dx, dy in _STENCIL:
-        nx_, ny_ = cx + dx, cy + dy
-        if torus:
-            nx_ %= n_cells
-            ny_ %= n_cells
-            keep = slice(None)
-        else:
-            keep = (nx_ >= 0) & (nx_ < n_cells) & (ny_ >= 0) & (ny_ < n_cells)
-        nbr_cell = nx_[keep] * n_cells + ny_[keep]
-        src = np.arange(positions.shape[0], dtype=np.int64)[keep]
-        nbr_counts = counts[nbr_cell]
-        pairs_i.append(np.repeat(src, nbr_counts))
-        pairs_j.append(order[concat_ranges(starts[nbr_cell], nbr_counts)])
-
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
-
-
-def _candidate_pairs_brute(n: int):
-    """All index pairs i < j, chunked to bound memory."""
-    for lo in range(0, n, _BRUTE_CHUNK):
-        hi = min(lo + _BRUTE_CHUNK, n)
-        block_i, block_j = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
-        keep = block_i < block_j
-        yield block_i[keep], block_j[keep]
-
-
 def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: BoundaryMode) -> Network:
     """Build the random geometric network over the given positions.
 
     An edge (u, v) exists iff u != v and distance(u, v) <= radio_range under
-    the boundary metric. Uses a cell grid with cell side >= radio_range; falls
-    back to chunked brute force when the region holds fewer than 3 cells per
-    axis.
+    the boundary metric. Candidate pairs come from a ``CellGrid`` with cells
+    at least radio_range wide: the pairs of cells less than radio_range
+    apart, i.e. the 3 x 3 neighborhood of each cell, or every pair on a
+    grid of one or two cells per axis.
     """
     positions = np.asarray(points, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -197,7 +210,6 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
         raise ValueError(f"region side must be positive, got {side}")
     if np.any(positions < 0) or np.any(positions >= side):
         raise ValueError("all coordinates must lie in [0, side)")
-    n = positions.shape[0]
 
     if boundary is BoundaryMode.TORUS and radio_range > side / 2:
         warnings.warn(
@@ -207,21 +219,14 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
             stacklevel=2,
         )
 
+    grid = CellGrid(positions, side, boundary, radio_range)
     edges_u = [np.empty(0, dtype=np.int64)]
     edges_v = [np.empty(0, dtype=np.int64)]
-    if radio_range > 0 and n > 1:
-        n_cells = int(side // radio_range)
-        if n_cells >= _MIN_GRID_CELLS:
-            cand = [_candidate_pairs_grid(positions, side, radio_range, boundary, n_cells)]
-        else:
-            cand = _candidate_pairs_brute(n)
-        for ci, cj in cand:
-            if ci.size == 0:
-                continue
-            d = pair_distances(positions[ci], positions[cj], side, boundary)
-            keep = d <= radio_range
-            edges_u.append(ci[keep])
-            edges_v.append(cj[keep])
+    for ci, cj in grid.pairs(np.flatnonzero(grid.dmin < radio_range)):
+        d = pair_distances(positions[ci], positions[cj], side, boundary)
+        keep = d <= radio_range
+        edges_u.append(ci[keep])
+        edges_v.append(cj[keep])
 
     u, v = np.concatenate(edges_u), np.concatenate(edges_v)
     return Network.from_edges(positions, u, v, side, boundary, radio_range)

@@ -18,11 +18,11 @@ is the first free candidate after the previous one.
 
 Uniform candidates are uniform node pairs, 4 per link in each batch (at
 least _BATCH_MIN). Power-law and cutoff candidates come from an exact
-cell-offset sampler. Nodes are binned into a G x G grid of cells,
-G = floor(L / (R/2)) (at least 1, at most 2 sqrt(N) + 1). For each cell
-offset o (min-image on the torus, unwrapped on the plane), dmin(o) is
-the least distance between points of two cells at that offset, and
-B(o) = w(max(dmin(o), R)). A proposal draws o with probability
+cell-offset sampler (after Bringmann, Keusch & Lengler). Nodes are
+binned into a ``network.CellGrid`` with cells at least R/2 wide (capped
+in number, so a tiny or zero R is safe). For each cell offset o,
+dmin(o) is the least distance between points of two cells at that
+offset, and B(o) = w(max(dmin(o), R)). A proposal draws o with probability
 proportional to B(o), a node u uniformly, and a slot uniformly below the
 largest cell count; it is kept when the cell of u shifted by o holds that
 slot, whose node is v, and is then accepted with probability w(d)/B(o).
@@ -51,7 +51,6 @@ metric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
@@ -59,16 +58,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import LinkSamplingError
-from .geometry import BoundaryMode, pair_distances
-from .network import Network, concat_ranges
+from .geometry import pair_distances
+from .network import CellGrid, Network
 
 _BATCH_MIN = 256
 # Proposals per batch of the cell-offset sampler.
 _PROPOSALS = 1 << 12
 # Batches in a row without a new link before the exact count of free pairs.
 _STALL_BATCHES = 256
-# (node, cell offset) combinations per chunk of that count.
-_COUNT_CHUNK = 1 << 18
 
 
 class SchemeKind(Enum):
@@ -140,72 +137,37 @@ class _CellSampler:
     """Exact cell-offset proposals for a nonincreasing pair weight."""
 
     def __init__(self, net: Network, weight: Callable[[np.ndarray], np.ndarray]):
-        n, side, r = net.n_nodes, net.side, net.radio_range
-        # Cells of side about R/2, at most about 4N of them (R may be tiny or 0).
-        cap = 2 * math.isqrt(n) + 1
-        g = cap if r * cap <= 2 * side else max(1, int(side // (r / 2)))
-        coords = np.minimum((net.positions / (side / g)).astype(np.int64), g - 1)
-        cell = coords[:, 0] * g + coords[:, 1]
-        self.counts = np.bincount(cell, minlength=g * g)
-        self.max_count = int(self.counts.max())
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)])[:-1]
-        self.by_cell = np.argsort(cell, kind="stable")
-
-        self.torus = net.boundary is BoundaryMode.TORUS
-        steps = np.arange(g) if self.torus else np.arange(1 - g, g)
-        gaps = np.minimum(steps, g - steps) if self.torus else np.abs(steps)
-        gaps = np.maximum(gaps - 1, 0) * (side / g)
-        dmin = np.hypot(gaps[:, None], gaps[None, :]).ravel()
-        bound = weight(np.maximum(dmin, r))
+        self.grid = grid = CellGrid(net.positions, net.side, net.boundary, net.radio_range / 2)
+        self.max_count = int(grid.counts.max())
+        bound = weight(np.maximum(grid.dmin, net.radio_range))
         # Ascending bounds keep every positive bound visible in the cumulative sum.
         keep = np.argsort(bound, kind="stable")
-        keep = keep[bound[keep] > 0]
-        self.dx = np.repeat(steps, steps.size)[keep]
-        self.dy = np.tile(steps, steps.size)[keep]
-        self.bound = bound[keep]
+        self.offsets = keep[bound[keep] > 0]
+        self.bound = bound[self.offsets]
         self.cum = np.cumsum(self.bound)
-        self.net, self.weight, self.g, self.coords = net, weight, g, coords
-
-    def _target_cells(self, u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell of node u shifted by offset k, and the mask of shifts inside the grid."""
-        g = self.g
-        tx = self.coords[u, 0] + self.dx[k]
-        ty = self.coords[u, 1] + self.dy[k]
-        if self.torus:
-            return (tx % g) * g + ty % g, np.ones(tx.shape, dtype=bool)
-        inside = (tx >= 0) & (tx < g) & (ty >= 0) & (ty < g)
-        return np.where(inside, tx * g + ty, 0), inside
+        self.net, self.weight = net, weight
 
     def propose(self, rng: np.random.Generator) -> _Candidates:
         """One batch of accepted proposals."""
-        net = self.net
+        net, grid = self.net, self.grid
         k = np.searchsorted(self.cum, rng.random(_PROPOSALS) * self.cum[-1], side="right")
         k = np.minimum(k, self.cum.size - 1)
         u = rng.integers(0, net.n_nodes, _PROPOSALS)
         slot = rng.integers(0, self.max_count, _PROPOSALS)
-        b, inside = self._target_cells(u, k)
-        kept = np.flatnonzero(inside & (slot < self.counts[b]))
+        b, inside = grid.shift(u, self.offsets[k])
+        kept = np.flatnonzero(inside & (slot < grid.counts[b]))
         u, k = u[kept], k[kept]
-        v = self.by_cell[self.starts[b[kept]] + slot[kept]]
+        v = grid.order[grid.starts[b[kept]] + slot[kept]]
         d = pair_distances(net.positions[u], net.positions[v], net.side, net.boundary)
         accept = rng.random(d.size) * self.bound[k] < self.weight(d)
         return u[accept], v[accept], d[accept]
 
     def positive_pairs(self) -> Iterator[np.ndarray]:
-        """Keys of every pair u < v of positive weight, in chunks."""
-        n = self.net.n_nodes
-        nodes = np.arange(n)
-        step = max(1, _COUNT_CHUNK // n)
-        for lo in range(0, self.cum.size, step):
-            k = np.arange(lo, min(lo + step, self.cum.size))
-            u = np.repeat(nodes, k.size)
-            b, inside = self._target_cells(u, np.tile(k, n))
-            size = np.where(inside, self.counts[b], 0)
-            u = np.repeat(u, size)
-            v = self.by_cell[concat_ranges(self.starts[b], size)]
-            u, v = u[u < v], v[u < v]
-            d = pair_distances(self.net.positions[u], self.net.positions[v], self.net.side, self.net.boundary)
-            yield _pair_keys(u, v, n)[self.weight(d) > 0]
+        """Keys of every pair of positive weight, one cell offset at a time."""
+        net = self.net
+        for u, v in self.grid.pairs(self.offsets):
+            d = pair_distances(net.positions[u], net.positions[v], net.side, net.boundary)
+            yield _pair_keys(u, v, net.n_nodes)[self.weight(d) > 0]
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

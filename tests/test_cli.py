@@ -159,3 +159,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "final_fraction:" in proc.stdout
+
+
+def test_runtime_needs_no_scipy():
+    # The package promises a numpy-only runtime: block scipy and run a replicate.
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import netwake\n"
+        "from netwake.montecarlo import ExperimentConfig, run_replicate\n"
+        "from netwake.smallworld import LinkScheme\n"
+        "cfg = ExperimentConfig(phi=0.1, radio_range=16.0, n_nodes=200, side=150.0,\n"
+        "                       scheme=LinkScheme.power_law(0.05, 2.0), n_runs=1)\n"
+        "print(run_replicate(cfg, 0).outcome.final_fraction)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 < float(proc.stdout) <= 1.0

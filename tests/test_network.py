@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netwake.geometry import BoundaryMode, expected_degree, sample_points
-from netwake.network import _build_csr, build_rgg, concat_ranges
+from netwake.network import CellGrid, _build_csr, build_rgg, concat_ranges
 
 from conftest import (
     bfs_labeling,
@@ -66,7 +66,10 @@ class TestBuildRgg:
         assert net.neighbors(0).tolist() == [1]
 
     @pytest.mark.parametrize("boundary", [TORUS, PLANAR])
-    @pytest.mark.parametrize("n,radio", [(80, 18.0), (300, 7.0), (500, 4.0), (500, 40.0)])
+    # R = 60, 50, 100/3 and 30 give grids of 1, 2, 2 and 3 cells per axis;
+    # 50 and 10 divide the side exactly.
+    @pytest.mark.parametrize("n,radio", [(80, 18.0), (300, 7.0), (500, 4.0), (500, 40.0), (80, 60.0),
+                                         (80, 50.0), (80, 100 / 3), (80, 30.0), (300, 10.0)])
     def test_matches_brute_force(self, boundary, n, radio, rng):
         pts = sample_points(n, 100.0, rng)
         net = build_rgg(pts, radio, 100.0, boundary)
@@ -92,6 +95,11 @@ class TestBuildRgg:
         expected = expected_degree(0.01, 12.5)
         assert abs(np.mean(degs) - expected) / expected < 0.05
 
+    def test_tiny_range_gives_empty_edge_set(self, rng):
+        # The grid is capped at 2 sqrt(N) + 1 cells per axis, not L / R = 10^5.
+        net = build_rgg(sample_points(100, 1000.0, rng), 0.01, 1000.0, TORUS)
+        assert net.n_local_edges == 0
+
     def test_zero_range_gives_empty_edge_set(self, rng):
         net = build_rgg(sample_points(50, 10.0, rng), 0.0, 10.0, TORUS)
         assert net.n_local_edges == 0
@@ -114,6 +122,18 @@ class TestBuildRgg:
     def test_degree_edge_relation(self, rng):
         net = build_rgg(sample_points(400, 100.0, rng), 8.0, 100.0, TORUS)
         assert net.mean_local_degree == pytest.approx(2 * net.n_local_edges / net.n_nodes)
+
+
+@pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+@pytest.mark.parametrize("g", range(1, 8))
+def test_cell_grid_pairs_cover_each_pair_once(boundary, g):
+    pts = sample_points(60, 10.0 * g, np.random.default_rng(g))
+    grid = CellGrid(pts, 10.0 * g, boundary, 10.0)
+    assert grid.g == g
+    pairs = [(int(a), int(b)) for u, v in grid.pairs(np.arange(grid.dx.size)) for a, b in zip(u, v)]
+    assert all(a != b for a, b in pairs)
+    unordered = [tuple(sorted(p)) for p in pairs]
+    assert len(unordered) == len(set(unordered)) == 60 * 59 // 2
 
 
 class TestComponents:
