@@ -11,7 +11,12 @@ Two schedules are supported. Synchronous: every node evaluates against
 the previous step's active set and all activations land at once.
 Asynchronous: one time step is a full sweep over a fresh random
 permutation of the nodes, with activations visible immediately within
-the sweep.
+the sweep. The sweep is computed in rank-ordered rounds rather than node
+by node: each round activates the candidates that pass on what they can
+see, and passes each new activation on only to inactive neighbors that
+come later in the permutation. A node's visit sees exactly the
+activations of lower rank and counts only grow, so the rounds reach the
+same result as visiting the nodes one at a time in permutation order.
 
 ``CascadeState.activation_time`` is the one activation record: the step
 at which each node turned on, NEVER while it is off. The active set and
@@ -203,27 +208,39 @@ def step_synchronous(net: Network, state: CascadeState, phi: float) -> CascadeSt
 
 
 def step_asynchronous(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
-    """One full sweep in a fresh random node order, updates visible immediately."""
+    """One full sweep in a fresh random node order, updates visible immediately.
+
+    Equivalent to visiting the nodes one at a time in the order
+    ``rng.permutation(n)``, computed in rounds. ``visible`` counts the
+    active neighbors a node sees at its visit: the pre-sweep ones plus the
+    sweep's activations of lower rank. Each round activates the candidates
+    that pass on ``visible`` and adds each new activation to its inactive
+    higher-rank neighbors, which become the next candidates. Exact,
+    because a visit sees only lower-rank activations and counts only grow.
+    """
     t = state.t + 1
+    n = net.n_nodes
     activation_time = state.activation_time.copy()
-    counts = state.active_neighbor_counts.copy()
-    degrees = net.degrees
-    indptr, indices = net.adj_indptr, net.adj_indices
-    newly = []
-    for v in rng.permutation(net.n_nodes):
-        c = counts[v]
-        if c == 0 or activation_time[v] != NEVER:
-            continue
-        if c / degrees[v] >= phi:
-            activation_time[v] = t
-            counts[indices[indptr[v]:indptr[v + 1]]] += 1
-            newly.append(v)
-    return CascadeState(
-        activation_time=activation_time,
-        t=t,
-        newly_activated=np.array(sorted(newly), dtype=np.int64),
-        active_neighbor_counts=counts,
-    )
+    rank = np.empty(n, dtype=np.int64)
+    rank[rng.permutation(n)] = np.arange(n)
+    visible = state.active_neighbor_counts.copy()
+    candidates = np.flatnonzero((visible > 0) & (activation_time == NEVER))
+    rounds = []
+    while candidates.size:
+        newly = candidates[visible[candidates] / net.degrees[candidates] >= phi]
+        if newly.size == 0:
+            break
+        activation_time[newly] = t
+        rounds.append(newly)
+        targets = _neighbors_of(net, newly)
+        source_rank = np.repeat(rank[newly], net.degrees[newly])
+        later = (activation_time[targets] == NEVER) & (rank[targets] > source_rank)
+        candidates, hits = np.unique(targets[later], return_counts=True)
+        visible[candidates] += hits
+    newly = np.sort(np.concatenate(rounds)) if rounds else np.empty(0, dtype=np.int64)
+    new_counts = state.active_neighbor_counts + np.bincount(_neighbors_of(net, newly), minlength=n)
+    return CascadeState(activation_time=activation_time, t=t, newly_activated=newly,
+                        active_neighbor_counts=new_counts)
 
 
 def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -> CascadeOutcome:

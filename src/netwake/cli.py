@@ -101,14 +101,18 @@ def _n_jobs(threads: int) -> int:
 
 
 def _sweep_reporting_flags(spec: SweepSpec, threads: int):
-    """Run the sweep and name every flagged cell on stderr."""
+    """Run the sweep; on stderr name every flagged cell and every cell
+    where some, but not all, replicates were infeasible."""
     rows = sweep(spec, n_jobs=_n_jobs(threads))
     for row in rows:
+        cell = f"{spec.axis1.name}={row.axis1_value}"
+        if spec.axis2 is not None:
+            cell += f" {spec.axis2.name}={row.axis2_value}"
         if row.error:
-            cell = f"{spec.axis1.name}={row.axis1_value}"
-            if spec.axis2 is not None:
-                cell += f" {spec.axis2.name}={row.axis2_value}"
             print(f"netwake: cell {cell} flagged: {row.error}", file=sys.stderr)
+        elif row.stats.n_infeasible:
+            print(f"netwake: cell {cell}: {row.stats.n_infeasible} of {row.stats.n_runs} "
+                  "replicates infeasible", file=sys.stderr)
     return rows
 
 
@@ -189,9 +193,12 @@ def _cmd_transition(args) -> int:
 
     extra = {}
     if len(boundaries) >= 3:
-        extra["boundary-exponent"] = repr(
-            fit_boundary_exponent([b[0] for b in boundaries], [b[1] for b in boundaries])
-        )
+        try:
+            slope = fit_boundary_exponent([b[0] for b in boundaries], [b[1] for b in boundaries])
+        except EstimationError as exc:
+            print(f"netwake: boundary exponent omitted: {exc}", file=sys.stderr)
+        else:
+            extra["boundary-exponent"] = repr(slope)
     manifest = RunManifest(
         config_echo=describe_sweep(spec),
         master_seed=spec.base.master_seed,

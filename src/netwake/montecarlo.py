@@ -369,11 +369,17 @@ def fit_boundary_exponent(phis, boundary_ranges) -> float:
     """Least-squares slope of log(boundary range) against log(threshold).
 
     The upper cascade boundary shrinks roughly as a power of the
-    threshold; the returned slope is that exponent (about -0.5).
+    threshold; the returned slope is that exponent (about -0.5). Both
+    logarithms need positive finite values, so a zero threshold (or
+    range) raises EstimationError.
     """
     phis = np.asarray(phis, dtype=float)
     ranges = np.asarray(boundary_ranges, dtype=float)
     if phis.size < 3:
         raise EstimationError(f"need at least 3 boundary points to fit, got {phis.size}")
+    for name, values in (("threshold", phis), ("boundary range", ranges)):
+        bad = values[~(np.isfinite(values) & (values > 0))]
+        if bad.size:
+            raise EstimationError(f"cannot fit a log-log slope through {name} {float(bad[0])!r}")
     slope, _ = np.polyfit(np.log(phis), np.log(ranges), 1)
     return float(slope)

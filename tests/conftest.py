@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles.
 
 The oracles here (brute-force edge sets, BFS components, full-rescan
-fixed points) deliberately avoid the library's own algorithms so the
+fixed points, the node-by-node asynchronous sweep) deliberately avoid the library's own algorithms so the
 tests check two independent routes to the same answer. The structural
 checks and the component labeling (scipy) serve only tests, so they
 live here rather than in the numpy-only package.
@@ -17,6 +17,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from netwake.cascade import NEVER, CascadeState
 from netwake.geometry import BoundaryMode, pair_distances
 from netwake.network import Network
 
@@ -104,6 +105,35 @@ def naive_fixed_point(n: int, edges, seeds, phi: float) -> set[int]:
         if not newly:
             return active
         active |= newly
+
+
+def sequential_async_sweep(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
+    """Oracle: one asynchronous sweep, visiting the nodes one at a time.
+
+    Walks ``rng.permutation(n)`` in order; each node decides on the counts
+    as they stand at its visit, and an activation updates its neighbors'
+    counts at once. Draws from ``rng`` exactly as the engine does.
+    """
+    t = state.t + 1
+    activation_time = state.activation_time.copy()
+    counts = state.active_neighbor_counts.copy()
+    degrees = net.degrees
+    indptr, indices = net.adj_indptr, net.adj_indices
+    newly = []
+    for v in rng.permutation(net.n_nodes):
+        c = counts[v]
+        if c == 0 or activation_time[v] != NEVER:
+            continue
+        if c / degrees[v] >= phi:
+            activation_time[v] = t
+            counts[indices[indptr[v]:indptr[v + 1]]] += 1
+            newly.append(v)
+    return CascadeState(
+        activation_time=activation_time,
+        t=t,
+        newly_activated=np.array(sorted(newly), dtype=np.int64),
+        active_neighbor_counts=counts,
+    )
 
 
 def brute_force_edges(positions: np.ndarray, radio_range: float, side: float, boundary: BoundaryMode) -> set[tuple[int, int]]:

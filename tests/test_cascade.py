@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netwake import cascade
 from netwake.cascade import (
     NEVER,
     CascadeParams,
@@ -13,6 +14,9 @@ from netwake.cascade import (
     step_synchronous,
 )
 from netwake.errors import SeedingError
+from netwake.geometry import BoundaryMode, sample_points
+from netwake.network import build_rgg
+from netwake.smallworld import LinkScheme, add_long_range_links
 
 from conftest import (
     bfs_component,
@@ -20,8 +24,39 @@ from conftest import (
     network_from_edges,
     path_network,
     random_graph,
+    sequential_async_sweep,
     star_network,
 )
+
+
+def random_test_network(g: np.random.Generator, linked: bool):
+    """A G(n, p) graph, or a small geometric network with long links."""
+    if not linked:
+        n = int(g.integers(2, 40))
+        return network_from_edges(n, random_graph(n, float(g.uniform(0.05, 0.5)), g))
+    net = build_rgg(sample_points(int(g.integers(10, 60)), 100.0, g), float(g.uniform(10.0, 30.0)),
+                    100.0, BoundaryMode.TORUS)
+    return add_long_range_links(net, LinkScheme.uniform(float(g.uniform(0.01, 0.2))), g)
+
+
+def random_seeds(g: np.random.Generator, n: int) -> list[int]:
+    return sorted(g.choice(n, size=int(g.integers(1, min(n, 3) + 1)), replace=False).tolist())
+
+
+def assert_async_dominates_sync(net, seeds, phi: float, rng_seed: int) -> None:
+    """Same final set, and no node wakes later under the asynchronous schedule.
+
+    By induction on steps: the rule is monotone and an async sweep sees at
+    least the previous step's active set, so after every step the async
+    active set contains the sync one.
+    """
+    spec = SeedSpec.explicit(seeds)
+    sync = run_cascade(net, CascadeParams(phi=phi, seed_spec=spec), np.random.default_rng(rng_seed))
+    aso = run_cascade(net, CascadeParams(phi=phi, schedule=Schedule.ASYNCHRONOUS, seed_spec=spec),
+                      np.random.default_rng(rng_seed))
+    woke = sync.activation_time != NEVER
+    np.testing.assert_array_equal(aso.activation_time != NEVER, woke)
+    assert np.all(aso.activation_time[woke] <= sync.activation_time[woke])
 
 
 class TestSelectSeed:
@@ -140,6 +175,24 @@ class TestAsynchronousStep:
                 hit_slow = True
         assert hit_fast and hit_slow
 
+    def test_matches_sequential_sweep(self):
+        # Oracle: the node-by-node sweep. Every state field and the rng
+        # state agree after each of 1-7 sweeps, so runs cut short by a
+        # small step budget are covered as well as finished ones.
+        for trial in range(320):
+            g = np.random.default_rng(900 + trial)
+            net = random_test_network(g, linked=trial % 2 == 1)
+            phi = float(g.choice([0.0, 0.5, 1.0, g.uniform()]))
+            fast = slow = initial_state(net, np.array(random_seeds(g, net.n_nodes)))
+            rng_fast, rng_slow = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(int(g.integers(1, 8))):
+                fast = step_asynchronous(net, fast, phi, rng_fast)
+                slow = sequential_async_sweep(net, slow, phi, rng_slow)
+                np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
+                np.testing.assert_array_equal(fast.newly_activated, slow.newly_activated)
+                np.testing.assert_array_equal(fast.active_neighbor_counts, slow.active_neighbor_counts)
+                assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
 
 class TestRunCascade:
     def test_flooding_covers_component_in_eccentricity_steps(self):
@@ -245,23 +298,14 @@ class TestRunCascade:
         assert out.time == 1
         assert out.final_fraction == pytest.approx(2 / 5)
 
-    def test_async_schedule_reaches_same_fixed_point(self, rng):
+    def test_async_schedule_reaches_same_fixed_point(self):
         # The rule is monotone, so sync and async agree on the final set
-        # (only timing differs); a useful cross-check of both engines.
-        edges = random_graph(25, 0.2, rng)
-        net = network_from_edges(25, edges)
-        seeds = [0, 1, 2]
-        sync = run_cascade(
-            net, CascadeParams(phi=0.3, seed_spec=SeedSpec.explicit(seeds)),
-            np.random.default_rng(4),
-        )
-        for s in range(5):
-            aso = run_cascade(
-                net,
-                CascadeParams(phi=0.3, schedule=Schedule.ASYNCHRONOUS, seed_spec=SeedSpec.explicit(seeds)),
-                np.random.default_rng(s),
-            )
-            assert aso.final_fraction == sync.final_fraction
+        # and async is never later; a useful cross-check of both engines.
+        for trial in range(400):
+            g = np.random.default_rng(4000 + trial)
+            net = random_test_network(g, linked=trial % 2 == 1)
+            phi = float(g.choice([0.0, 0.5, 1.0, g.uniform()]))
+            assert_async_dominates_sync(net, random_seeds(g, net.n_nodes), phi, trial)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -272,19 +316,21 @@ class TestRunCascade:
             CascadeParams(phi=0.1, max_steps=0)
 
 
+@pytest.fixture(scope="module")
+def reference_networks():
+    """N=10^4, L=10^3, R=16 on the torus, plain and with uniform links."""
+    pts = sample_points(10_000, 1000.0, np.random.default_rng(160))
+    plain = build_rgg(pts, 16.0, 1000.0, BoundaryMode.TORUS)
+    linked = add_long_range_links(plain, LinkScheme.uniform(0.01), np.random.default_rng(2))
+    return plain, linked
+
+
 class TestReferenceScale:
-    def test_global_wakeup_at_reference_parameters(self):
+    def test_global_wakeup_at_reference_parameters(self, reference_networks):
         # N=10^4, L=10^3, R=16, phi=0.12: a single seed wakes the whole
         # network in on the order of a hundred steps, and a small dose of
         # long-range links cuts that time down on the same topology.
-        from netwake.geometry import sample_points
-        from netwake.network import build_rgg
-        from netwake.smallworld import LinkScheme, add_long_range_links
-        from netwake.geometry import BoundaryMode
-
-        rng = np.random.default_rng(160)
-        pts = sample_points(10_000, 1000.0, rng)
-        net = build_rgg(pts, 16.0, 1000.0, BoundaryMode.TORUS)
+        net, linked = reference_networks
         # Not every node can ignite alone at this threshold (it needs a
         # neighbor of degree <= 1/phi); node 4 does on this realization.
         params = CascadeParams(phi=0.12, seed_spec=SeedSpec.explicit([4]))
@@ -292,7 +338,22 @@ class TestReferenceScale:
         assert plain.is_global and plain.final_fraction > 0.85
         assert 30 <= plain.time <= 300
 
-        linked = add_long_range_links(net, LinkScheme.uniform(0.01), np.random.default_rng(2))
         fast = run_cascade(linked, params, np.random.default_rng(3))
         assert fast.is_global
         assert fast.time < plain.time
+
+    def test_async_matches_sequential_sweep(self, reference_networks, monkeypatch):
+        _, linked = reference_networks
+        params = CascadeParams(phi=0.12, schedule=Schedule.ASYNCHRONOUS, seed_spec=SeedSpec.explicit([4]))
+        rng_fast, rng_slow = np.random.default_rng(5), np.random.default_rng(5)
+        fast = run_cascade(linked, params, rng_fast)
+        monkeypatch.setattr(cascade, "step_asynchronous", sequential_async_sweep)
+        slow = run_cascade(linked, params, rng_slow)
+        assert fast.is_global and not fast.stalled and not slow.stalled
+        np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
+        assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
+    @pytest.mark.parametrize("phi", [0.0, 0.12])
+    def test_async_dominates_sync(self, reference_networks, phi):
+        for net in reference_networks:
+            assert_async_dominates_sync(net, [4], phi, 6)

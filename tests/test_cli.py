@@ -59,6 +59,29 @@ class TestSweepCommand:
         data = lambda p: [l for l in strip_duration(p) if not l.startswith("#")]
         assert data(a) != data(b)
 
+    def test_partly_infeasible_cells_reported_on_stderr(self, tmp_path, capsys):
+        # Triple seeds need a node of degree >= 2: at R=1 no replicate
+        # finds one (a flagged cell), at R=10 only some do, at R=40 all do.
+        doc = """
+        phi = 0.1
+        R = 10
+        n_nodes = 12
+        L = 100
+        n_runs = 10
+        seed_rule = triple
+        master_seed = 5
+        sweep {
+            axis1 = R
+            values1 = 1, 10, 40
+        }
+        """
+        cfg = write(tmp_path, "p.conf", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("netwake: cell R=1.0 flagged:")
+        assert err[1] == "netwake: cell R=10.0: 9 of 10 replicates infeasible"
+
     def test_requires_sweep_block(self, tmp_path):
         cfg = write(tmp_path, "plain.conf", FAST_BASE)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_PARSE
@@ -113,6 +136,34 @@ class TestTransitionCommand:
         assert float(phi) == 0.05
         assert 11.0 <= float(onset) <= 14.0
         assert upper == ""  # no descending crossing on this grid
+
+    @pytest.mark.parametrize("phis, fitted", [("0, 0.1, 0.15", False), ("0.1, 0.15, 0.2", True)])
+    def test_zero_threshold_skips_exponent_fit(self, tmp_path, capsys, phis, fitted):
+        # Every threshold here has an upper boundary, phi = 0 included (a
+        # noisy fall at 3 runs a cell); log(0) leaves no slope to fit.
+        doc = f"""
+        phi = 0.1
+        R = 10
+        n_nodes = 100
+        L = 100
+        n_runs = 3
+        master_seed = 2
+        sweep {{
+            axis1 = R
+            values1 = 7, 8, 9, 10, 11, 12, 14, 16, 18, 20, 24, 28
+            axis2 = phi
+            values2 = {phis}
+        }}
+        """
+        cfg = write(tmp_path, "z.conf", doc)
+        out = str(tmp_path / "z.csv")
+        assert main(["transition", "--config", cfg, "--out", out]) == EXIT_OK
+        lines = strip_duration(out)
+        rows = [l for l in lines if not l.startswith("#")]
+        assert len(rows) == 4 and all(r.split(",")[2] for r in rows[1:])
+        assert any(l.startswith("# boundary-exponent:") for l in lines) is fitted
+        err = capsys.readouterr().err
+        assert ("boundary exponent omitted" in err) is not fitted
 
     def test_requires_r_axis(self, tmp_path):
         doc = FAST_BASE + "sweep {\n axis1 = phi\n values1 = 0.1, 0.2\n}\n"

@@ -240,6 +240,17 @@ class TestBoundaryFit:
         with pytest.raises(EstimationError):
             fit_boundary_exponent([0.1, 0.2], [10.0, 7.0])
 
+    @pytest.mark.parametrize("phis, ranges", [
+        ([0.0, 0.1, 0.2], [30.0, 20.0, 15.0]),
+        ([-0.1, 0.1, 0.2], [30.0, 20.0, 15.0]),
+        ([0.1, 0.2, math.nan], [30.0, 20.0, 15.0]),
+        ([0.1, 0.2, 0.4], [30.0, 0.0, 15.0]),
+        ([0.1, 0.2, 0.4], [30.0, math.inf, 15.0]),
+    ])
+    def test_nonpositive_or_nonfinite_values_raise(self, phis, ranges):
+        with pytest.raises(EstimationError):
+            fit_boundary_exponent(phis, ranges)
+
 
 class TestCascadeWindowPhysics:
     def test_probability_rises_then_declines_with_range(self):
