@@ -11,12 +11,13 @@ Two schedules are supported. Synchronous: every node evaluates against
 the previous step's active set and all activations land at once.
 Asynchronous: one time step is a full sweep over a fresh random
 permutation of the nodes, with activations visible immediately within
-the sweep. The sweep is computed in rank-ordered rounds rather than node
-by node: each round activates the candidates that pass on what they can
-see, and passes each new activation on only to inactive neighbors that
-come later in the permutation. A node's visit sees exactly the
-activations of lower rank and counts only grow, so the rounds reach the
-same result as visiting the nodes one at a time in permutation order.
+the sweep. One routine, ``_step``, runs every step of both as
+rank-ordered rounds. The candidates are the inactive nodes with an
+active neighbor; each round activates those that pass on what they can
+see, and passes each new activation on only to inactive neighbors later
+in the permutation. A visit sees exactly the activations of lower rank
+and counts only grow, so the rounds match a node-by-node sweep. A
+synchronous step sees nothing within the step: it is the first round.
 
 ``CascadeState.activation_time`` is the one activation record: the step
 at which each node turned on, NEVER while it is off. The active set and
@@ -39,14 +40,6 @@ NEVER = -1  # activation_time value for nodes that never turned on
 class Schedule(Enum):
     SYNCHRONOUS = "synchronous"
     ASYNCHRONOUS = "asynchronous"
-
-    @classmethod
-    def parse(cls, text: str) -> "Schedule":
-        key = text.strip().lower()
-        for sched in cls:
-            if sched.value.startswith(key) and key:
-                return sched
-        raise ValueError(f"unknown schedule {text!r}; expected 'synchronous' or 'asynchronous'")
 
 
 class SeedRule(Enum):
@@ -176,53 +169,32 @@ def _neighbors_of(net: Network, nodes: np.ndarray) -> np.ndarray:
     return net.adj_indices[concat_ranges(starts, counts)]
 
 
+def _with_activations(net: Network, counts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``counts`` plus one at each neighbor of each of ``nodes``."""
+    return counts + np.bincount(_neighbors_of(net, nodes), minlength=net.n_nodes)
+
+
 def initial_state(net: Network, seeds: np.ndarray) -> CascadeState:
     """State at t=0 with the seed set switched on."""
     activation_time = np.full(net.n_nodes, NEVER, dtype=np.int64)
     activation_time[seeds] = 0
-    counts = np.bincount(_neighbors_of(net, seeds), minlength=net.n_nodes).astype(np.int64)
     return CascadeState(
         activation_time=activation_time,
         t=0,
         newly_activated=np.asarray(seeds, dtype=np.int64),
-        active_neighbor_counts=counts,
+        active_neighbor_counts=_with_activations(net, np.zeros(net.n_nodes, dtype=np.int64), seeds),
     )
 
 
-def step_synchronous(net: Network, state: CascadeState, phi: float) -> CascadeState:
-    """One simultaneous update: all evaluations see the previous active set."""
-    t = state.t + 1
-    activation_time = state.activation_time.copy()
-    counts = state.active_neighbor_counts
-    candidates = np.unique(_neighbors_of(net, state.newly_activated))
-    candidates = candidates[activation_time[candidates] == NEVER]
-    if candidates.size:
-        frac = counts[candidates] / net.degrees[candidates]
-        newly = candidates[(counts[candidates] > 0) & (frac >= phi)]
-    else:
-        newly = np.empty(0, dtype=np.int64)
-    activation_time[newly] = t
-    new_counts = counts + np.bincount(_neighbors_of(net, newly), minlength=net.n_nodes)
-    return CascadeState(activation_time=activation_time, t=t, newly_activated=newly,
-                        active_neighbor_counts=new_counts)
+def _step(net: Network, state: CascadeState, phi: float, rank: np.ndarray | None) -> CascadeState:
+    """One time step in rank-ordered rounds (see the module docstring).
 
-
-def step_asynchronous(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
-    """One full sweep in a fresh random node order, updates visible immediately.
-
-    Equivalent to visiting the nodes one at a time in the order
-    ``rng.permutation(n)``, computed in rounds. ``visible`` counts the
-    active neighbors a node sees at its visit: the pre-sweep ones plus the
-    sweep's activations of lower rank. Each round activates the candidates
-    that pass on ``visible`` and adds each new activation to its inactive
-    higher-rank neighbors, which become the next candidates. Exact,
-    because a visit sees only lower-rank activations and counts only grow.
+    ``visible`` counts the active neighbors a node sees when it decides:
+    the pre-step ones plus the step's activations of lower rank. With
+    ``rank=None`` nothing is seen within the step: one round is the step.
     """
     t = state.t + 1
-    n = net.n_nodes
     activation_time = state.activation_time.copy()
-    rank = np.empty(n, dtype=np.int64)
-    rank[rng.permutation(n)] = np.arange(n)
     visible = state.active_neighbor_counts.copy()
     candidates = np.flatnonzero((visible > 0) & (activation_time == NEVER))
     rounds = []
@@ -232,15 +204,41 @@ def step_asynchronous(net: Network, state: CascadeState, phi: float, rng: np.ran
             break
         activation_time[newly] = t
         rounds.append(newly)
+        if rank is None:
+            break
         targets = _neighbors_of(net, newly)
         source_rank = np.repeat(rank[newly], net.degrees[newly])
         later = (activation_time[targets] == NEVER) & (rank[targets] > source_rank)
         candidates, hits = np.unique(targets[later], return_counts=True)
         visible[candidates] += hits
     newly = np.sort(np.concatenate(rounds)) if rounds else np.empty(0, dtype=np.int64)
-    new_counts = state.active_neighbor_counts + np.bincount(_neighbors_of(net, newly), minlength=n)
     return CascadeState(activation_time=activation_time, t=t, newly_activated=newly,
-                        active_neighbor_counts=new_counts)
+                        active_neighbor_counts=_with_activations(net, state.active_neighbor_counts, newly))
+
+
+def step_synchronous(net: Network, state: CascadeState, phi: float) -> CascadeState:
+    """One simultaneous update: all evaluations see the previous active set.
+
+    The single-round case of ``_step``. Only the neighbors of the previous
+    step's activations can newly pass: on every state reached from
+    ``initial_state``, any other inactive node has the count it already
+    failed on at an earlier step. So testing every inactive node with an
+    active neighbor activates the same nodes, without relying on
+    ``newly_activated``.
+    """
+    return _step(net, state, phi, None)
+
+
+def step_asynchronous(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
+    """One full sweep in a fresh random node order, updates visible immediately.
+
+    The same as visiting the nodes one at a time in the order
+    ``rng.permutation(n)``; ``_step`` runs the sweep as rank-ordered rounds.
+    """
+    n = net.n_nodes
+    rank = np.empty(n, dtype=np.int64)
+    rank[rng.permutation(n)] = np.arange(n)
+    return _step(net, state, phi, rank)
 
 
 def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -> CascadeOutcome:

@@ -141,6 +141,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _enum(cls):
+    """Case-insensitive converter for an enum's values, and what it expects."""
+    values = [member.value for member in cls]
+    return (lambda text: cls(text.lower())), ", ".join(values[:-1]) + " or " + values[-1]
+
+
 def _strict_int(text: str) -> int:
     if float(text) != int(float(text)):
         raise ValueError(text)
@@ -151,13 +157,13 @@ def _strict_int(text: str) -> int:
 _EXPERIMENT_FIELDS = {
     "n_nodes": ("n_nodes", _strict_int, "an integer"),
     "L": ("side", float, "a number"),
-    "boundary": ("boundary", BoundaryMode.parse, "'torus' or 'planar'"),
+    "boundary": ("boundary", *_enum(BoundaryMode)),
     "c": ("coefficient", float, "a number"),
     "n_runs": ("n_runs", _strict_int, "an integer"),
     "master_seed": ("master_seed", _strict_int, "an integer"),
 }
 _CASCADE_FIELDS = {
-    "schedule": ("schedule", Schedule.parse, "'synchronous' or 'asynchronous'"),
+    "schedule": ("schedule", *_enum(Schedule)),
     "cutoff_fraction": ("cutoff_fraction", float, "a number"),
     "max_steps": ("max_steps", _strict_int, "an integer"),
 }
@@ -191,7 +197,7 @@ def _parse_scheme(doc: _Doc) -> LinkScheme:
         return LinkScheme.none()
     kind = SchemeKind.UNIFORM
     if kind_entry is not None:
-        kind = _convert(kind_entry, kind_key, SchemeKind.parse, "uniform, powerlaw or cutoff")
+        kind = _convert(kind_entry, kind_key, *_enum(SchemeKind))
 
     own = _KIND_PARAMETER.get(kind)
     if own in entries:
@@ -208,8 +214,7 @@ def _apply_seed_spec(top: dict[str, tuple[str, int]], cfg: ExperimentConfig) -> 
     on the key that gave them."""
     rule, nodes = cfg.cascade.seed_spec.rule, cfg.cascade.seed_spec.nodes
     if "seed_rule" in top:
-        rule = _convert(top["seed_rule"], "seed_rule", lambda text: SeedRule(text.strip().lower()),
-                        "single, triple or explicit")
+        rule = _convert(top["seed_rule"], "seed_rule", *_enum(SeedRule))
     if "seed_nodes" in top:
         nodes = _convert(top["seed_nodes"], "seed_nodes", _int_list, "a comma list of node ids")
     key = "seed_nodes" if "seed_nodes" in top else "seed_rule"

@@ -30,8 +30,9 @@ class SeedingError(NetwakeError):
 
 class LinkSamplingError(NetwakeError):
     """Raised when the links do not fit: fewer free node pairs remain than
-    links asked for, a cutoff d_c does not exceed the radio range, or an
-    exact count finds too few free pairs of positive weight."""
+    links asked for, a cutoff d_c does not exceed the radio range, no pair
+    beyond the radio range has positive weight, or an exact count finds
+    too few free pairs of positive weight."""
 
 
 class ExperimentInfeasibleError(NetwakeError):

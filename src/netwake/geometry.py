@@ -20,13 +20,6 @@ class BoundaryMode(Enum):
     TORUS = "torus"
     PLANAR = "planar"
 
-    @classmethod
-    def parse(cls, text: str) -> "BoundaryMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown boundary mode {text!r}; expected 'torus' or 'planar'") from None
-
 
 def sample_points(n: int, side: float, rng: np.random.Generator) -> np.ndarray:
     """Draw n node positions i.i.d. uniform on [0, side) x [0, side).

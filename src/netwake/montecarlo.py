@@ -55,12 +55,12 @@ class ExperimentConfig:
             raise ValueError(f"need at least one node, got {self.n_nodes}")
         if self.n_runs < 1:
             raise ValueError(f"need at least one run, got {self.n_runs}")
-        if not self.radio_range >= 0:
-            raise ValueError(f"radio range must be nonnegative, got {self.radio_range}")
-        if not self.side > 0:
-            raise ValueError(f"side length must be positive, got {self.side}")
-        if not self.coefficient > 0:
-            raise ValueError(f"energy coefficient must be positive, got {self.coefficient}")
+        if not 0 <= self.radio_range < math.inf:
+            raise ValueError(f"radio range must be nonnegative and finite, got {self.radio_range}")
+        if not 0 < self.side < math.inf:
+            raise ValueError(f"side length must be positive and finite, got {self.side}")
+        if not 0 < self.coefficient < math.inf:
+            raise ValueError(f"energy coefficient must be positive and finite, got {self.coefficient}")
         if self.master_seed < 0:
             raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
         if self.cascade is None:

@@ -37,13 +37,15 @@ LinkSamplingError means that:
   uniform links this is the whole rule, since every free pair can be
   drawn;
 * a cutoff d_c does not exceed R, so every pair within d_c is local;
+* B(o) = 0 at every cell offset, so every pair beyond R has zero weight
+  (a steep power law, whose d**(-delta) underflows already at R);
 * after _STALL_BATCHES batches in a row without a new link, an exact
   count of the free pairs of positive weight (R < d <= d_c for the
   cutoff) finds fewer than the links still missing. If enough remain,
   sampling goes on, and the count is never repeated, since each placed
   link uses up one counted pair. A power-law pair has positive weight
-  unless d**(-delta) underflows, so for the power law this count only
-  ever confirms the capacity check.
+  unless d**(-delta) underflows, so for a power law that does not
+  underflow this count only ever confirms the capacity check.
 
 Every added link records its length under the network's own boundary
 metric.
@@ -51,6 +53,7 @@ metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator
@@ -73,14 +76,6 @@ class SchemeKind(Enum):
     POWER_LAW = "powerlaw"
     CUTOFF = "cutoff"
 
-    @classmethod
-    def parse(cls, text: str) -> "SchemeKind":
-        key = text.strip().lower().replace("_", "").replace("-", "")
-        for kind in cls:
-            if kind.value.replace("_", "") == key:
-                return kind
-        raise ValueError(f"unknown link scheme {text!r}; expected uniform, powerlaw or cutoff")
-
 
 @dataclass(frozen=True)
 class LinkScheme:
@@ -92,8 +87,8 @@ class LinkScheme:
     d_c: float | None = None
 
     def __post_init__(self):
-        if not self.p_r >= 0:
-            raise ValueError(f"link density p_r must be nonnegative, got {self.p_r}")
+        if not 0 <= self.p_r < math.inf:
+            raise ValueError(f"link density p_r must be nonnegative and finite, got {self.p_r}")
         if self.kind is SchemeKind.POWER_LAW:
             if self.delta is None or not self.delta >= 0:
                 raise ValueError("powerlaw scheme needs an exponent delta >= 0")
@@ -143,6 +138,11 @@ class _CellSampler:
         # Ascending bounds keep every positive bound visible in the cumulative sum.
         keep = np.argsort(bound, kind="stable")
         self.offsets = keep[bound[keep] > 0]
+        if self.offsets.size == 0:
+            # B(o) bounds the weight of every non-local pair at offset o.
+            raise LinkSamplingError(
+                f"no node pair beyond the radio range {net.radio_range:g} has positive weight"
+            )
         self.bound = bound[self.offsets]
         self.cum = np.cumsum(self.bound)
         self.net, self.weight = net, weight
@@ -233,7 +233,8 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
     any network from ``build_rgg``. A LinkSamplingError means the links do
     not fit this network: fewer free node pairs remain than links are asked
     for, a cutoff d_c no longer than the radio range leaves only local
-    pairs, or an exact count finds too few free pairs of positive weight.
+    pairs, no pair beyond the radio range has positive weight, or an exact
+    count finds too few free pairs of positive weight.
     """
     n = net.n_nodes
     n_new = int(round(scheme.p_r * n))

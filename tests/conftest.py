@@ -1,10 +1,11 @@
 """Shared fixtures and independent oracles.
 
 The oracles here (brute-force edge sets, BFS components, full-rescan
-fixed points, the node-by-node asynchronous sweep) deliberately avoid the library's own algorithms so the
-tests check two independent routes to the same answer. The structural
-checks and the component labeling (scipy) serve only tests, so they
-live here rather than in the numpy-only package.
+fixed points, the node-by-node synchronous step and asynchronous sweep)
+deliberately avoid the library's own algorithms so the tests check two
+independent routes to the same answer. The structural checks and the
+component labeling (scipy) serve only tests, so they live here rather
+than in the numpy-only package.
 """
 
 from __future__ import annotations
@@ -105,6 +106,34 @@ def naive_fixed_point(n: int, edges, seeds, phi: float) -> set[int]:
         if not newly:
             return active
         active |= newly
+
+
+def sequential_sync_step(net: Network, state: CascadeState, phi: float) -> CascadeState:
+    """Oracle: one synchronous step, visiting every node in id order.
+
+    Each inactive node decides on the previous step's counts; the
+    activations update the counts only after every node has decided.
+    """
+    t = state.t + 1
+    activation_time = state.activation_time.copy()
+    old = state.active_neighbor_counts
+    counts = old.copy()
+    degrees = net.degrees
+    indptr, indices = net.adj_indptr, net.adj_indices
+    newly = []
+    for v in range(net.n_nodes):
+        if activation_time[v] != NEVER or old[v] == 0:
+            continue
+        if old[v] / degrees[v] >= phi:
+            activation_time[v] = t
+            counts[indices[indptr[v]:indptr[v + 1]]] += 1
+            newly.append(v)
+    return CascadeState(
+        activation_time=activation_time,
+        t=t,
+        newly_activated=np.array(newly, dtype=np.int64),
+        active_neighbor_counts=counts,
+    )
 
 
 def sequential_async_sweep(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:

@@ -25,6 +25,7 @@ from conftest import (
     path_network,
     random_graph,
     sequential_async_sweep,
+    sequential_sync_step,
     star_network,
 )
 
@@ -141,6 +142,21 @@ class TestSynchronousStep:
         assert state.active.tolist() == [True, True, False, False, False]
         state = step_synchronous(net, state, 0.5)
         assert state.active.tolist() == [True, True, True, False, False]
+
+    def test_matches_sequential_step(self):
+        # Oracle: the node-by-node step on the previous step's counts.
+        # Every state field agrees after each of 1-7 steps.
+        for trial in range(320):
+            g = np.random.default_rng(900 + trial)
+            net = random_test_network(g, linked=trial % 2 == 1)
+            phi = float(g.choice([0.0, 0.5, 1.0, g.uniform()]))
+            fast = slow = initial_state(net, np.array(random_seeds(g, net.n_nodes)))
+            for _ in range(int(g.integers(1, 8))):
+                fast = step_synchronous(net, fast, phi)
+                slow = sequential_sync_step(net, slow, phi)
+                np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
+                np.testing.assert_array_equal(fast.newly_activated, slow.newly_activated)
+                np.testing.assert_array_equal(fast.active_neighbor_counts, slow.active_neighbor_counts)
 
 
 class TestAsynchronousStep:

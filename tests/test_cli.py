@@ -82,6 +82,16 @@ class TestSweepCommand:
         assert err[0].startswith("netwake: cell R=1.0 flagged:")
         assert err[1] == "netwake: cell R=10.0: 9 of 10 replicates infeasible"
 
+    def test_underflowing_powerlaw_cell_is_flagged(self, tmp_path, capsys):
+        # 16**-400 underflows to 0, so no long link fits at delta = 400.
+        doc = FAST_BASE + "scheme = powerlaw\np_r = 0.01\ndelta = 2\nsweep {\n axis1 = delta\n values1 = 2, 400\n}\n"
+        cfg = write(tmp_path, "d.conf", doc)
+        out = tmp_path / "d.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.startswith("netwake: cell delta=400.0 flagged:")
+        rows = [l for l in strip_duration(out) if not l.startswith("#")][1:]
+        assert rows[0].split(",")[-1] == "8" and rows[1] == "400.0,,,,,,,,,"
+
     def test_requires_sweep_block(self, tmp_path):
         cfg = write(tmp_path, "plain.conf", FAST_BASE)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_PARSE

@@ -53,6 +53,14 @@ class TestDefaults:
         assert cfg.n_runs == 200 and cfg.master_seed == 7
         assert cfg.coefficient == 2.5
 
+    def test_enum_values_in_any_case(self):
+        cfg = parse_config("phi=0.1\nR=16\nboundary=Planar\nschedule=ASYNCHRONOUS\n"
+                           "seed_rule=Triple\nscheme=PowerLaw\ndelta=2\n")
+        assert cfg.boundary is BoundaryMode.PLANAR
+        assert cfg.cascade.schedule is Schedule.ASYNCHRONOUS
+        assert cfg.cascade.seed_spec.rule is SeedRule.TRIPLE
+        assert cfg.scheme.kind is SchemeKind.POWER_LAW
+
     def test_explicit_seeds(self):
         cfg = parse_config("phi=0.1\nR=16\nseed_rule=explicit\nseed_nodes=4, 9, 2\n")
         assert cfg.cascade.seed_spec.rule is SeedRule.EXPLICIT
@@ -111,6 +119,26 @@ class TestErrors:
     def test_infinite_integer_rejected_at_its_key(self, key):
         with pytest.raises(ConfigError) as err:
             parse_config(f"phi = 0.1\nR = 16\n{key} = inf\n")
+        assert err.value.key == key and err.value.line == 3
+
+    @pytest.mark.parametrize("doc,key,line", [
+        ("phi = 0.1\nR = inf\n", "R", 2),
+        ("phi = 0.1\nR = 16\nL = inf\n", "L", 3),
+        ("phi = 0.1\nR = 16\nc = inf\n", "c", 3),
+        ("phi = 0.1\nR = 16\np_r = inf\n", "p_r", 3),
+    ], ids=["R", "L", "c", "p_r"])
+    def test_infinite_real_rejected_at_its_key(self, doc, key, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.key == key and err.value.line == line
+
+    @pytest.mark.parametrize("key,value", [
+        ("boundary", "tor"), ("schedule", "sync"), ("schedule", "a"),
+        ("scheme", "power_law"), ("scheme", "power-law"), ("seed_rule", "tri"),
+    ])
+    def test_enum_takes_only_its_documented_values(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"phi = 0.1\nR = 16\n{key} = {value}\n")
         assert err.value.key == key and err.value.line == 3
 
     def test_seed_ids_beyond_node_count_rejected_at_their_key(self):

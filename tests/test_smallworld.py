@@ -225,6 +225,18 @@ class TestInfeasibility:
         assert out.n_long_edges == 5
         assert out.long_length.min() > 16.0
 
+    @pytest.mark.parametrize("delta", [400.0, np.inf])
+    def test_underflowing_powerlaw_fails_before_drawing(self, delta):
+        # At R = 16, 16**-400 underflows to 0: every pair beyond the radio
+        # range has zero weight, so no long link can be placed.
+        pts = sample_points(2500, 500.0, np.random.default_rng(31))
+        net = build_rgg(pts, 16.0, 500.0, TORUS)
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        with pytest.raises(LinkSamplingError, match="positive weight"):
+            add_long_range_links(net, LinkScheme.power_law(0.01, delta), rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("d_c", [4.0, 8.0])
     def test_cutoff_within_radio_range_fails_before_drawing(self, small_torus, d_c):
         rng = np.random.default_rng(2)
