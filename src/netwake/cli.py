@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file path")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker processes; 0 means all cores (default 1)")
+                           help="worker processes, one pool per sweep; "
+                                "0 means all usable cores (default 1)")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and emit CSV")
     common(p_sweep, threads=True)
@@ -94,6 +95,9 @@ def _load(path: str, seed_override: int | None):
 
 def _n_jobs(threads: int) -> int:
     if threads == 0:
+        # The cores this process may run on, not every core of the host.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if threads < 0:
         raise ConfigError("--threads must be >= 0")
@@ -101,8 +105,9 @@ def _n_jobs(threads: int) -> int:
 
 
 def _sweep_reporting_flags(spec: SweepSpec, threads: int):
-    """Run the sweep; on stderr name every flagged cell and every cell
-    where some, but not all, replicates were infeasible."""
+    """Run the sweep; on stderr name every flagged cell, every cell where
+    some, but not all, replicates were infeasible (with the count per
+    reason), and every cell with stalled cascades."""
     rows = sweep(spec, n_jobs=_n_jobs(threads))
     for row in rows:
         cell = f"{spec.axis1.name}={row.axis1_value}"
@@ -110,9 +115,17 @@ def _sweep_reporting_flags(spec: SweepSpec, threads: int):
             cell += f" {spec.axis2.name}={row.axis2_value}"
         if row.error:
             print(f"netwake: cell {cell} flagged: {row.error}", file=sys.stderr)
-        elif row.stats.n_infeasible:
-            print(f"netwake: cell {cell}: {row.stats.n_infeasible} of {row.stats.n_runs} "
-                  "replicates infeasible", file=sys.stderr)
+            continue
+        s = row.stats
+        if s.n_infeasible:
+            reasons = ", ".join(f"{name} {count}" for name, count in
+                                (("seeding", s.n_infeasible_seeding), ("links", s.n_infeasible_links))
+                                if count)
+            print(f"netwake: cell {cell}: {s.n_infeasible} of {s.n_runs} "
+                  f"replicates infeasible ({reasons})", file=sys.stderr)
+        if s.n_stalled:
+            print(f"netwake: cell {cell}: {s.n_stalled} of {s.n_runs} replicates stalled",
+                  file=sys.stderr)
     return rows
 
 

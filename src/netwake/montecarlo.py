@@ -8,7 +8,10 @@ from the swept parameter values, not grid position: swapping axes
 permutes rows without changing any cell.
 
 ``run_replicate`` is the one replicate pipeline: ``run_replicates``
-aggregates it and ``netwake run`` prints replicate 0 of it. The range
+aggregates it and ``netwake run`` prints replicate 0 of it. With more
+than one job, ``sweep`` starts one process pool of min(n_jobs, n_runs)
+workers for the whole grid, and each cell sends that pool one
+contiguous chunk of replicates per worker. The range
 rules of an experiment live on the types (``ExperimentConfig``,
 ``CascadeParams``, ``LinkScheme``, ``SweepAxis``), not in the config
 parser.
@@ -16,6 +19,7 @@ parser.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -83,6 +87,9 @@ class ReplicateStats:
     Time/energy means cover successful runs only and are None when there
     were none. mean_link_length is the across-replicate mean of each
     network's mean long-link length (None when the scheme adds no links).
+    n_infeasible splits by reason into n_infeasible_seeding and
+    n_infeasible_links; n_stalled counts cascades that exhausted the step
+    budget while still growing.
     """
 
     p_global: float
@@ -96,6 +103,9 @@ class ReplicateStats:
     n_success: int
     n_runs: int
     n_infeasible: int
+    n_infeasible_seeding: int = 0
+    n_infeasible_links: int = 0
+    n_stalled: int = 0
 
 
 @dataclass(frozen=True)
@@ -201,9 +211,11 @@ def run_replicate(cfg: ExperimentConfig, index: int) -> Replicate:
 
 @dataclass(frozen=True)
 class _Summary:
-    """What aggregation keeps of one replicate."""
+    """What aggregation keeps of one replicate: why it was infeasible
+    ("seeding" or "links", None when it ran) or how its cascade went."""
 
-    infeasible: bool
+    infeasible: str | None = None
+    stalled: bool = False
     success: bool = False
     final_fraction: float = 0.0
     time: int = 0
@@ -214,11 +226,13 @@ class _Summary:
 def _summarize(cfg: ExperimentConfig, index: int) -> _Summary:
     try:
         rep = run_replicate(cfg, index)
-    except (SeedingError, LinkSamplingError):
-        return _Summary(infeasible=True)
+    except SeedingError:
+        return _Summary(infeasible="seeding")
+    except LinkSamplingError:
+        return _Summary(infeasible="links")
     net, outcome = rep.net, rep.outcome
     return _Summary(
-        infeasible=False,
+        stalled=outcome.stalled,
         success=outcome.is_global and not outcome.stalled,
         final_fraction=outcome.final_fraction,
         time=outcome.time,
@@ -237,20 +251,25 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1) -> ReplicateStats:
+def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1,
+                   pool: ProcessPoolExecutor | None = None) -> ReplicateStats:
     """Run cfg.n_runs independent replicates and aggregate.
 
-    Results are identical for any n_jobs: replicate i always uses the
-    stream derived from (master_seed, i), and aggregation is over the
-    ordered result list.
+    With n_jobs > 1 the replicates are split into min(n_jobs, n_runs)
+    contiguous chunks, one task each, sent to ``pool`` when given (it
+    should have that many workers) or else to a pool started and joined
+    for this call. Results are identical for any n_jobs: replicate i
+    always uses the stream derived from (master_seed, i), and aggregation
+    is over the ordered result list.
     """
     n = cfg.n_runs
     if n_jobs > 1 and n > 1:
         workers = min(n_jobs, n)
         chunk = math.ceil(n / workers)
         bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, *zip(*[(cfg, a, b) for a, b in bounds])))
+        with (ProcessPoolExecutor(max_workers=workers) if pool is None
+              else contextlib.nullcontext(pool)) as executor:
+            chunks = list(executor.map(_run_chunk, *zip(*[(cfg, a, b) for a, b in bounds])))
         results = [r for part in chunks for r in part]
     else:
         results = _run_chunk(cfg, 0, n)
@@ -261,7 +280,9 @@ def _aggregate(results: list[_Summary]) -> ReplicateStats:
     n = len(results)
     successes = [r for r in results if r.success]
     n_success = len(successes)
-    n_infeasible = sum(1 for r in results if r.infeasible)
+    n_seeding = sum(1 for r in results if r.infeasible == "seeding")
+    n_links = sum(1 for r in results if r.infeasible == "links")
+    n_infeasible = n_seeding + n_links
     if n_infeasible == n:
         raise ExperimentInfeasibleError(
             "every replicate failed before the cascade could start", n_infeasible
@@ -290,6 +311,9 @@ def _aggregate(results: list[_Summary]) -> ReplicateStats:
         n_success=n_success,
         n_runs=n,
         n_infeasible=n_infeasible,
+        n_infeasible_seeding=n_seeding,
+        n_infeasible_links=n_links,
+        n_stalled=sum(1 for r in results if r.stalled),
     )
 
 
@@ -299,6 +323,11 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     A cell whose values a type rejects, or whose every replicate is
     infeasible, becomes a flagged row (stats=None, error set) and never
     aborts the rest of the grid. Any other error propagates.
+
+    With n_jobs > 1 (and more than one run per cell) one process pool of
+    min(n_jobs, n_runs) workers serves every cell; each cell is still one
+    ``run_replicates`` call, and the pool is joined before this returns
+    or raises.
     """
     cells: list[dict[str, float]] = []
     for v1 in spec.axis1.values:
@@ -309,20 +338,23 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
                 cells.append({spec.axis1.name: v1, spec.axis2.name: v2})
 
     rows: list[SweepRow] = []
-    for overrides in cells:
-        v1 = overrides[spec.axis1.name]
-        v2 = overrides[spec.axis2.name] if spec.axis2 is not None else None
-        stats = error = None
-        try:
-            cfg = cell_config(spec.base, overrides)
-        except ValueError as exc:
-            error = str(exc)
-        else:
+    workers = min(n_jobs, spec.base.n_runs)  # n_runs is not sweepable: every cell has it
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for overrides in cells:
+            v1 = overrides[spec.axis1.name]
+            v2 = overrides[spec.axis2.name] if spec.axis2 is not None else None
+            stats = error = None
             try:
-                stats = run_replicates(cfg, n_jobs=n_jobs)
-            except ExperimentInfeasibleError as exc:
+                cfg = cell_config(spec.base, overrides)
+            except ValueError as exc:
                 error = str(exc)
-        rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=stats, error=error))
+            else:
+                try:
+                    stats = run_replicates(cfg, n_jobs=n_jobs, pool=pool)
+                except ExperimentInfeasibleError as exc:
+                    error = str(exc)
+            rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=stats, error=error))
     return rows
 
 

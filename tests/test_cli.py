@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from netwake import cli
 from netwake.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_PARSE, main
 from netwake.output import read_snapshot
 
@@ -80,7 +81,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert err[0].startswith("netwake: cell R=1.0 flagged:")
-        assert err[1] == "netwake: cell R=10.0: 9 of 10 replicates infeasible"
+        assert err[1] == "netwake: cell R=10.0: 9 of 10 replicates infeasible (seeding 9)"
+
+    def test_stalled_cascades_reported_on_stderr(self, tmp_path, capsys):
+        # One step cannot finish a cascade that is still growing; one R=10
+        # seed has no neighbour, so its cascade stops at once.
+        cfg = write(tmp_path, "m.conf", SWEEP_DOC + "max_steps = 1\n")
+        out = tmp_path / "m.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "netwake: cell R=10.0: 7 of 8 replicates stalled",
+            "netwake: cell R=16.0: 8 of 8 replicates stalled",
+        ]
+        assert all(l.split(",")[8] == "0" for l in strip_duration(out)[-2:])
 
     def test_underflowing_powerlaw_cell_is_flagged(self, tmp_path, capsys):
         # 16**-400 underflows to 0, so no long link fits at delta = 400.
@@ -95,6 +108,20 @@ class TestSweepCommand:
     def test_requires_sweep_block(self, tmp_path):
         cfg = write(tmp_path, "plain.conf", FAST_BASE)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_PARSE
+
+
+class TestThreads:
+    def test_zero_means_the_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._n_jobs(0) == 1
+
+    def test_zero_without_affinity_means_every_core(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._n_jobs(0) == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._n_jobs(0) == 1
 
 
 class TestRunCommand:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ class TestRunReplicates:
             run_replicates(cfg)
         assert err.value.failure_count == 2
 
+    def test_counts_by_reason_and_stalled(self):
+        Summary = montecarlo._Summary
+        stats = montecarlo._aggregate([
+            Summary(infeasible="links"), Summary(infeasible="seeding"),
+            Summary(infeasible="seeding"), Summary(stalled=True, final_fraction=0.5),
+            Summary(success=True, final_fraction=1.0, time=3, energy=2.0),
+        ])
+        assert (stats.n_infeasible, stats.n_infeasible_seeding, stats.n_infeasible_links) == (3, 2, 1)
+        assert stats.n_stalled == 1 and stats.n_success == 1 and stats.n_runs == 5
+
 
 class TestSweep:
     def test_single_cell_matches_run_replicates(self):
@@ -181,6 +192,72 @@ class TestSweep:
         assert cell_config(cfg, {"R": 14.0}).master_seed != cell_config(cfg, {"R": 15.0}).master_seed
         two = cell_config(cfg, {"R": 14.0, "phi": 0.2})
         assert two.phi == 0.2 and two.radio_range == 14.0
+
+
+def count_pools(monkeypatch) -> list:
+    """Record the max_workers of every pool montecarlo constructs."""
+    made = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+class TestSharedPool:
+    GRID = dict(axis1=SweepAxis("phi", (0.1, 0.2)), axis2=SweepAxis("R", (14.0, 16.0, 18.0)))
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        made = count_pools(monkeypatch)
+        calls = []
+        cell = montecarlo.run_replicates
+
+        def recording(cfg, n_jobs=1, pool=None):
+            calls.append(pool)
+            return cell(cfg, n_jobs=n_jobs, pool=pool)
+
+        monkeypatch.setattr(montecarlo, "run_replicates", recording)
+        serial = sweep(SweepSpec(base=small_cfg(n_runs=4), **self.GRID))
+        assert made == [] and calls == [None] * 6
+        calls.clear()
+        shared = sweep(SweepSpec(base=small_cfg(n_runs=4), **self.GRID), n_jobs=2)
+        assert made == [2] and len(calls) == 6 and calls[0] is not None
+        assert all(pool is calls[0] for pool in calls)
+        assert shared == serial
+        sweep(SweepSpec(base=small_cfg(n_runs=2), **self.GRID), n_jobs=3)
+        assert made == [2, 2]
+
+    def test_flagged_cells_leave_the_pool_working(self):
+        # Triple seeds need a node of degree >= 2. R=-1 is rejected by the
+        # config type, at R=1 every replicate is infeasible, at R=10 only
+        # some are; both flagged cells recur in the middle of the grid.
+        base = small_cfg(n_nodes=12, side=100.0, n_runs=10, master_seed=5,
+                         cascade=CascadeParams(phi=0.1, seed_spec=SeedSpec.triple()))
+        spec = SweepSpec(base=base, axis1=SweepAxis("phi", (0.1, 0.2)),
+                         axis2=SweepAxis("R", (-1.0, 1.0, 10.0, 40.0)))
+        rows = sweep(spec)
+        for i in (0, 4):
+            assert rows[i].stats is None and "radio range" in rows[i].error
+            assert rows[i + 1].stats is None and "every replicate" in rows[i + 1].error
+            partial = rows[i + 2].stats
+            assert 0 < partial.n_infeasible == partial.n_infeasible_seeding < partial.n_runs
+            assert rows[i + 3].stats.n_infeasible == 0
+        assert sweep(spec, n_jobs=2) == rows
+        assert sweep(spec, n_jobs=3) == rows
+
+    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                        reason="workers see the patched cascade only when forked")
+    def test_worker_error_propagates_and_joins_the_pool(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken cascade")
+
+        monkeypatch.setattr(montecarlo, "run_cascade", broken)
+        with pytest.raises(ValueError, match="broken cascade"):
+            sweep(SweepSpec(base=small_cfg(n_runs=4), **self.GRID), n_jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestCrossings:
