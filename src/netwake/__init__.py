@@ -39,14 +39,7 @@ from .errors import (
     NetwakeError,
     SeedingError,
 )
-from .geometry import (
-    BoundaryMode,
-    distance,
-    expected_degree,
-    pair_distances,
-    range_for_degree,
-    sample_points,
-)
+from .geometry import BoundaryMode, expected_degree, pair_distances, sample_points
 from .montecarlo import (
     ExperimentConfig,
     Replicate,
@@ -68,8 +61,7 @@ from .smallworld import LinkScheme, SchemeKind, add_long_range_links
 
 __all__ = [
     "__version__",
-    "BoundaryMode", "distance", "pair_distances", "sample_points",
-    "expected_degree", "range_for_degree",
+    "BoundaryMode", "pair_distances", "sample_points", "expected_degree",
     "Network", "build_rgg",
     "LinkScheme", "SchemeKind", "add_long_range_links",
     "CascadeParams", "CascadeState", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",

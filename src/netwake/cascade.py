@@ -143,20 +143,12 @@ def select_seed(net: Network, spec: SeedSpec, rng: np.random.Generator) -> np.nd
         if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
             raise ValueError(f"explicit seed ids must be in [0, {n}), got {spec.nodes}")
         return nodes
-    # Connected triple: hub plus two of its neighbors. The hub is uniform
-    # over degree->=2 nodes; rejection sampling finds one fast on any dense
-    # graph, with a direct draw as fallback so sparse graphs still succeed.
+    # Connected triple: a hub drawn uniformly over the degree->=2 nodes,
+    # plus two of its neighbors.
     eligible = np.flatnonzero(net.degrees >= 2)
     if eligible.size == 0:
         raise SeedingError("no node has degree >= 2; cannot seed a connected triple")
-    hub = -1
-    for _ in range(n):
-        draw = int(rng.integers(0, n))
-        if net.degrees[draw] >= 2:
-            hub = draw
-            break
-    if hub < 0:
-        hub = int(rng.choice(eligible))
+    hub = int(rng.choice(eligible))
     nbrs = net.neighbors(hub)
     pair = rng.choice(nbrs, size=2, replace=False)
     return np.unique(np.array([hub, int(pair[0]), int(pair[1])], dtype=np.int64))

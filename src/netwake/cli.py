@@ -129,12 +129,19 @@ def _sweep_reporting_flags(spec: SweepSpec, threads: int):
     return rows
 
 
-def _cmd_sweep(args) -> int:
+def _start_sweep(args, command: str, check=lambda spec: None):
+    """Load the sweep config, vet it with ``check``, start the clock and
+    run the sweep; return the spec, the rows and the start time."""
     spec = _load(args.config, args.seed)
     if not isinstance(spec, SweepSpec):
-        raise ConfigError("the sweep subcommand needs a config with a sweep block")
+        raise ConfigError(f"the {command} subcommand needs a config with a sweep block")
+    check(spec)
     start = time.monotonic()
-    rows = _sweep_reporting_flags(spec, args.threads)
+    return spec, _sweep_reporting_flags(spec, args.threads), start
+
+
+def _cmd_sweep(args) -> int:
+    spec, rows, start = _start_sweep(args, "sweep")
     manifest = RunManifest(
         config_echo=describe_sweep(spec),
         master_seed=spec.base.master_seed,
@@ -174,17 +181,15 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_transition(args) -> int:
-    spec = _load(args.config, args.seed)
-    if not isinstance(spec, SweepSpec):
-        raise ConfigError("the transition subcommand needs a config with a sweep block")
+def _check_transition_axes(spec: SweepSpec) -> None:
     if spec.axis1.name != "R":
         raise ConfigError("transition estimation sweeps R on axis1")
     if spec.axis2 is not None and spec.axis2.name != "phi":
         raise ConfigError("transition estimation accepts only phi as axis2")
 
-    start = time.monotonic()
-    rows = _sweep_reporting_flags(spec, args.threads)
+
+def _cmd_transition(args) -> int:
+    spec, rows, start = _start_sweep(args, "transition", _check_transition_axes)
     phis = list(spec.axis2.values) if spec.axis2 is not None else [spec.base.phi]
     rs = list(spec.axis1.values)
 

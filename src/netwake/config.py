@@ -127,18 +127,14 @@ def _apply(obj, entries: dict[str, tuple[str, int]], fields: dict):
     return obj
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+def _comma_list(conv):
+    """Converter for a nonempty comma list of ``conv`` values."""
+    def parse(text: str) -> tuple:
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(conv(p) for p in parts)
+    return parse
 
 
 def _enum(cls):
@@ -216,7 +212,7 @@ def _apply_seed_spec(top: dict[str, tuple[str, int]], cfg: ExperimentConfig) -> 
     if "seed_rule" in top:
         rule = _convert(top["seed_rule"], "seed_rule", *_enum(SeedRule))
     if "seed_nodes" in top:
-        nodes = _convert(top["seed_nodes"], "seed_nodes", _int_list, "a comma list of node ids")
+        nodes = _convert(top["seed_nodes"], "seed_nodes", _comma_list(int), "a comma list of node ids")
     key = "seed_nodes" if "seed_nodes" in top else "seed_rule"
     spec = _make(SeedSpec, key, top.get(key), rule, nodes)
     return _make(replace, key, top.get(key), cfg, cascade=replace(cfg.cascade, seed_spec=spec))
@@ -224,7 +220,7 @@ def _apply_seed_spec(top: dict[str, tuple[str, int]], cfg: ExperimentConfig) -> 
 
 def _parse_axis(block: dict[str, tuple[str, int]], n: int) -> SweepAxis:
     key, values_key = f"axis{n}", f"values{n}"
-    values = _convert(block[values_key], values_key, _float_list, "a comma list of numbers")
+    values = _convert(block[values_key], values_key, _comma_list(float), "a comma list of numbers")
     return _make(SweepAxis, key, block[key], block[key][0], values)
 
 

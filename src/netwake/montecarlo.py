@@ -401,9 +401,12 @@ def fit_boundary_exponent(phis, boundary_ranges) -> float:
     """Least-squares slope of log(boundary range) against log(threshold).
 
     The upper cascade boundary shrinks roughly as a power of the
-    threshold; the returned slope is that exponent (about -0.5). Both
-    logarithms need positive finite values, so a zero threshold (or
-    range) raises EstimationError.
+    threshold; the returned slope is that exponent (about -0.5). The
+    -1/2 comes from the mean degree k = rho * pi * R**2: if the window
+    closes at a mean degree proportional to 1/phi, as in Watts's
+    vulnerability condition (Watts 2002, PNAS 99:5766), then
+    R_c ~ phi**(-1/2). Both logarithms need positive finite values, so a
+    zero threshold (or range) raises EstimationError.
     """
     phis = np.asarray(phis, dtype=float)
     ranges = np.asarray(boundary_ranges, dtype=float)

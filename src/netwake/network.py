@@ -146,10 +146,31 @@ class Network:
     @classmethod
     def from_edges(cls, positions, u: np.ndarray, v: np.ndarray, side: float,
                    boundary: BoundaryMode, radio_range: float) -> "Network":
-        """Network over ``positions`` whose local edges are the pairs (u[k], v[k])."""
+        """Network over ``positions`` whose local edges are the pairs (u[k], v[k]).
+
+        Each pair joins two distinct ids in [0, n) and appears once, in
+        either orientation; anything else raises ValueError.
+        """
         positions = np.asarray(positions, dtype=float)
         n = positions.shape[0]
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        if u.shape != v.shape or u.ndim != 1:
+            raise ValueError(f"u and v must be 1-d and equal in length, got shapes {u.shape} and {v.shape}")
+        outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if outside.size:
+            k = outside[0]
+            raise ValueError(f"edge ({u[k]}, {v[k]}) has an endpoint outside [0, {n})")
+        loops = np.flatnonzero(u == v)
+        if loops.size:
+            raise ValueError(f"self-loop at node {u[loops[0]]}")
         indptr, indices = _build_csr(n, u, v)
+        # The rows come out sorted, so the keys row * n + neighbor do too,
+        # and a pair given twice leaves two equal keys side by side.
+        key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+        twice = np.flatnonzero(key[1:] == key[:-1])
+        if twice.size:
+            k = key[twice[0]]
+            raise ValueError(f"edge ({k // n}, {k % n}) is given more than once")
         no_links = np.empty(0, dtype=np.int64)
         return cls(n_nodes=n, side=float(side), boundary=boundary, radio_range=float(radio_range),
                    positions=positions, local_indptr=indptr, local_indices=indices,

@@ -60,9 +60,7 @@ def _fmt(value) -> str:
     """Full-precision, locale-independent cell text; None is empty."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     return repr(float(value))
 
@@ -144,52 +142,6 @@ def export_snapshot(
             writer.writerow([int(u), int(v), "local", _fmt(d)])
         for u, v, d in zip(net.long_u, net.long_v, net.long_length):
             writer.writerow([int(u), int(v), "long", _fmt(d)])
-
-
-@dataclass
-class Snapshot:
-    """Parsed snapshot file contents."""
-
-    step: int
-    positions: np.ndarray
-    active: np.ndarray
-    edges: list[tuple[int, int, str, float]]
-
-
-def read_snapshot(path: str) -> Snapshot:
-    """Parse a file written by :func:`export_snapshot`."""
-    step = -1
-    section = None
-    ids, xs, ys, act = [], [], [], []
-    edges: list[tuple[int, int, str, float]] = []
-    with open(path, newline="") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("section:"):
-                    section = body.split(":", 1)[1].strip()
-                elif body.startswith("step:"):
-                    step = int(body.split(":", 1)[1])
-                continue
-            cells = next(csv.reader([line]))
-            if section == "nodes":
-                if cells[0] == "id":
-                    continue
-                ids.append(int(cells[0]))
-                xs.append(float(cells[1]))
-                ys.append(float(cells[2]))
-                act.append(bool(int(cells[3])))
-            elif section == "edges":
-                if cells[0] == "u":
-                    continue
-                edges.append((int(cells[0]), int(cells[1]), cells[2], float(cells[3])))
-
-    order = np.argsort(ids)
-    positions = np.column_stack([np.asarray(xs)[order], np.asarray(ys)[order]])
-    return Snapshot(step=step, positions=positions, active=np.asarray(act, dtype=bool)[order], edges=edges)
 
 
 def snapshot_path(base: str, step: int) -> str:

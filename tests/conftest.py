@@ -1,15 +1,18 @@
 """Shared fixtures and independent oracles.
 
-The oracles here (brute-force edge sets, BFS components, full-rescan
-fixed points, the node-by-node synchronous step and asynchronous sweep)
-deliberately avoid the library's own algorithms so the tests check two
-independent routes to the same answer. The structural checks and the
-component labeling (scipy) serve only tests, so they live here rather
-than in the numpy-only package.
+The oracles here (the scalar metric, brute-force edge sets, BFS
+components, full-rescan fixed points, the node-by-node synchronous step
+and asynchronous sweep) deliberately avoid the library's own algorithms
+so the tests check two independent routes to the same answer. The
+structural checks, the component labeling (scipy) and the snapshot
+reader serve only tests, so they live here rather than in the
+numpy-only package.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,6 +24,19 @@ from scipy.sparse.csgraph import connected_components
 from netwake.cascade import NEVER, CascadeState
 from netwake.geometry import BoundaryMode, pair_distances
 from netwake.network import Network
+
+
+def distance(p, q, side: float, boundary: BoundaryMode) -> float:
+    """Oracle: distance between two points, one scalar at a time.
+
+    Planar is the ordinary Euclidean distance; torus takes the per-axis
+    minimum of |dx| and side - |dx| before combining.
+    """
+    dx, dy = abs(float(p[0]) - float(q[0])), abs(float(p[1]) - float(q[1]))
+    if boundary is BoundaryMode.TORUS:
+        dx = min(dx, side - dx)
+        dy = min(dy, side - dy)
+    return math.hypot(dx, dy)
 
 
 def network_from_edges(n: int, edges, side: float = 1.0, radio_range: float = 1.0) -> Network:
@@ -171,12 +187,7 @@ def brute_force_edges(positions: np.ndarray, radio_range: float, side: float, bo
     edges = set()
     for i in range(n):
         for j in range(i + 1, n):
-            dx = abs(positions[i, 0] - positions[j, 0])
-            dy = abs(positions[i, 1] - positions[j, 1])
-            if boundary is BoundaryMode.TORUS:
-                dx = min(dx, side - dx)
-                dy = min(dy, side - dy)
-            if np.hypot(dx, dy) <= radio_range:
+            if distance(positions[i], positions[j], side, boundary) <= radio_range:
                 edges.add((i, j))
     return edges
 
@@ -244,6 +255,52 @@ def giant_fraction(labeling: ComponentLabeling, n: int) -> float:
     if labeling.labels.size != n:
         raise ValueError(f"labeling covers {labeling.labels.size} nodes, expected {n}")
     return float(labeling.sizes.max()) / n
+
+
+@dataclass
+class Snapshot:
+    """Parsed snapshot file contents."""
+
+    step: int
+    positions: np.ndarray
+    active: np.ndarray
+    edges: list[tuple[int, int, str, float]]
+
+
+def read_snapshot(path: str) -> Snapshot:
+    """Parse a file written by ``netwake.output.export_snapshot``."""
+    step = -1
+    section = None
+    ids, xs, ys, act = [], [], [], []
+    edges: list[tuple[int, int, str, float]] = []
+    with open(path, newline="") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("section:"):
+                    section = body.split(":", 1)[1].strip()
+                elif body.startswith("step:"):
+                    step = int(body.split(":", 1)[1])
+                continue
+            cells = next(csv.reader([line]))
+            if section == "nodes":
+                if cells[0] == "id":
+                    continue
+                ids.append(int(cells[0]))
+                xs.append(float(cells[1]))
+                ys.append(float(cells[2]))
+                act.append(bool(int(cells[3])))
+            elif section == "edges":
+                if cells[0] == "u":
+                    continue
+                edges.append((int(cells[0]), int(cells[1]), cells[2], float(cells[3])))
+
+    order = np.argsort(ids)
+    positions = np.column_stack([np.asarray(xs)[order], np.asarray(ys)[order]])
+    return Snapshot(step=step, positions=positions, active=np.asarray(act, dtype=bool)[order], edges=edges)
 
 
 @pytest.fixture

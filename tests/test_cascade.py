@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from netwake import cascade
 from netwake.cascade import (
@@ -75,6 +76,28 @@ class TestSelectSeed:
             seed = select_seed(net, SeedSpec.triple(), rng)
             assert seed.size == 3
             assert frozenset(int(s) for s in seed) in valid
+
+    def test_triple_hub_uniform_over_degree_two_nodes(self, rng):
+        # A 6-cycle (nodes 0-5, degree 2) with pendants on 0 and 3 (degree
+        # 3), a lone edge 8-9 (degree 1) and isolated 10 and 11 (degree 0).
+        # The graph has no triangle, so in a seed {hub, a, b} the hub is the
+        # one member adjacent to both others.
+        edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (3, 7), (8, 9)]
+        net = network_from_edges(12, edges)
+        adjacent = {(min(u, v), max(u, v)) for u, v in edges}
+        draws = 3000
+        hubs = np.zeros(12, dtype=np.int64)
+        for _ in range(draws):
+            seed = [int(s) for s in select_seed(net, SeedSpec.triple(), rng)]
+            assert len(seed) == 3
+            hub = [h for h in seed
+                   if all((min(h, o), max(h, o)) in adjacent for o in seed if o != h)]
+            assert len(hub) == 1
+            others = [o for o in seed if o != hub[0]]
+            assert set(others) <= set(net.neighbors(hub[0]).tolist())
+            hubs[hub[0]] += 1
+        assert hubs[6:].sum() == 0
+        assert chisquare(hubs[:6]).pvalue > 0.01
 
     def test_explicit_passthrough(self, rng):
         net = network_from_edges(5, [(0, 1)])

@@ -5,7 +5,8 @@ import pytest
 
 from netwake import cli
 from netwake.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_PARSE, main
-from netwake.output import read_snapshot
+
+from conftest import read_snapshot
 
 FAST_BASE = """
 phi = 0.1

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netwake.geometry import (
-    BoundaryMode,
-    distance,
-    expected_degree,
-    pair_distances,
-    range_for_degree,
-    sample_points,
-)
+from netwake.geometry import BoundaryMode, expected_degree, pair_distances, sample_points
+
+from conftest import distance
 
 TORUS = BoundaryMode.TORUS
 PLANAR = BoundaryMode.PLANAR
@@ -100,24 +95,11 @@ class TestDegreeRangeRelation:
     def test_hand_value(self):
         assert expected_degree(0.01, 16.0) == pytest.approx(8.042, abs=5e-4)
 
-    def test_inverse_hand_value(self):
-        assert range_for_degree(0.01, 4.909) == pytest.approx(12.5, abs=5e-3)
-
-    def test_inverse_zero(self):
-        assert range_for_degree(0.01, 0.0) == 0.0
-
-    def test_round_trip(self):
-        r = 14.0
-        back = range_for_degree(0.01, expected_degree(0.01, r))
-        assert abs(back - r) / r < 1e-12
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             expected_degree(0.01, -1.0)
         with pytest.raises(ValueError):
             expected_degree(0.0, 5.0)
-        with pytest.raises(ValueError):
-            range_for_degree(0.01, -0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(

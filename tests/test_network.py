@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netwake.geometry import BoundaryMode, expected_degree, sample_points
-from netwake.network import CellGrid, _build_csr, build_rgg, concat_ranges
+from netwake.network import CellGrid, Network, _build_csr, build_rgg, concat_ranges
 
 from conftest import (
     bfs_labeling,
@@ -40,6 +40,32 @@ def test_build_csr_matches_lexsort_order(seed):
     np.testing.assert_array_equal(indices, dst[order])
     np.testing.assert_array_equal(indptr, np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]))
     assert indptr.dtype == indices.dtype == np.int64
+
+
+class TestFromEdges:
+    def test_id_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"endpoint outside \[0, 3\)"):
+            network_from_edges(3, [(0, 5)])
+        with pytest.raises(ValueError, match=r"endpoint outside \[0, 3\)"):
+            network_from_edges(3, [(-1, 2)])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            network_from_edges(3, [(0, 1), (1, 1)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 1)], [(1, 0), (1, 2), (0, 1)]])
+    def test_repeated_pair_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is given more than once"):
+            network_from_edges(3, edges)
+
+    def test_unpaired_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="equal in length"):
+            Network.from_edges(np.zeros((3, 2)), np.array([0]), np.array([1, 2]), 1.0, TORUS, 1.0)
+
+    def test_valid_edges_accepted(self):
+        net = network_from_edges(4, [(2, 0), (0, 1), (3, 2)])
+        np.testing.assert_array_equal(net.neighbors(0), [1, 2])
+        np.testing.assert_array_equal(net.degrees, [2, 1, 2, 1])
 
 
 def test_network_is_frozen():

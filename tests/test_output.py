@@ -10,12 +10,11 @@ from netwake.output import (
     emit_sweep_csv,
     emit_transition_csv,
     export_snapshot,
-    read_snapshot,
     snapshot_path,
 )
 from netwake.smallworld import LinkScheme, add_long_range_links
 
-from conftest import edge_set
+from conftest import edge_set, read_snapshot
 
 
 def manifest(rows: int, duration: float = 1.5) -> RunManifest:
