@@ -5,13 +5,18 @@ nodes are linked when their distance is <= R. Construction bins points
 into a ``CellGrid`` of cells at least R wide (and at most 2 sqrt(N) + 1
 per axis, so a tiny R cannot blow up the grid) and tests only the pairs
 of cells close enough to hold a pair within R: the expected cost is
-O(N * mean degree) instead of O(N^2), on grids of any size. Long-range
-links added later by the smallworld module live in a separate edge class
-but count as ordinary neighbors for adjacency queries and connectivity.
+O(N * mean degree) instead of O(N^2), on grids of any size. The grid
+pairs each node with the contiguous run of sorted slots of a nearby
+cell, a cheap squared-distance screen on 1-D coordinate arrays drops
+most of those pairs, and the boundary metric ``pair_distances`` decides
+the rest. Long-range links added later by the smallworld module live in
+a separate edge class but count as ordinary neighbors for adjacency
+queries and connectivity.
 
 ``Network`` is the one owner of the edge format: it is frozen, and it
 derives the merged adjacency and the degrees from its edge lists once,
-on construction. A network with more links is a new ``Network``
+on construction, by inserting the few long-link entries into the sorted
+local rows. A network with more links is a new ``Network``
 (``dataclasses.replace``), never an edited one.
 """
 
@@ -33,12 +38,13 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Equivalent to np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)]).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(np.asarray(starts, dtype=np.int64), counts) + offsets
+    # Output slot t of range r holds starts[r] + (t - (ends[r] - counts[r])).
+    shifts = np.asarray(starts, dtype=np.int64) - (ends - counts)
+    return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)
 
 
 class CellGrid:
@@ -76,11 +82,11 @@ class CellGrid:
         self.dmin = np.hypot(gaps[:, None], gaps[None, :]).ravel()
         self.inverse = (back[:, None] * m + back[None, :]).ravel()
 
-    def shift(self, u: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell of node u shifted by offset k, and the mask of shifts inside the grid."""
+    def shift(self, cx: np.ndarray, cy: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+        """Cell (cx, cy) shifted by offset k, and the mask of shifts inside the grid."""
         g = self.g
-        tx = self.coords[u, 0] + self.dx[k]
-        ty = self.coords[u, 1] + self.dy[k]
+        tx = cx + self.dx[k]
+        ty = cy + self.dy[k]
         if self.torus:
             return (tx % g) * g + ty % g, np.ones(tx.shape, dtype=bool)
         inside = (tx >= 0) & (tx < g) & (ty >= 0) & (ty < g)
@@ -90,21 +96,27 @@ class CellGrid:
         """Node pairs (u, v) whose cells lie one of ``offsets`` apart, one offset at a time.
 
         Each unordered pair u != v comes out once: of an offset and its
-        inverse only the first is visited, and an offset that is its own
-        inverse keeps u < v.
+        inverse only the first is visited. Pairs come out in slot order:
+        u = order[i] for the sorted slots i in turn, each with v = order[j]
+        for the slots j of the shifted cell, ascending. On an offset that
+        is its own inverse, j starts after i.
         """
         chosen = np.zeros(self.dx.size, dtype=bool)
         chosen[offsets] = True
         first = ~chosen[self.inverse] | (self.inverse >= np.arange(chosen.size))
-        nodes = np.arange(self.coords.shape[0])
+        g = self.g
+        cells = np.arange(g * g)
+        cx, cy = np.divmod(cells, g)
+        slot_cell = np.repeat(cells, self.counts)
+        slots = np.arange(slot_cell.size)
         for k in np.flatnonzero(chosen & first):
-            cell, inside = self.shift(nodes, k)
-            size = np.where(inside, self.counts[cell], 0)
-            u = np.repeat(nodes, size)
-            v = self.order[concat_ranges(self.starts[cell], size)]
+            target, inside = self.shift(cx, cy, k)
+            start = self.starts[target][slot_cell]
+            end = start + np.where(inside, self.counts[target], 0)[slot_cell]
             if self.inverse[k] == k:
-                u, v = u[u < v], v[u < v]
-            yield u, v
+                start = np.maximum(start, slots + 1)
+            size = np.maximum(end - start, 0)
+            yield np.repeat(self.order, size), self.order[concat_ranges(start, size)]
 
 
 @dataclass(frozen=True)
@@ -135,10 +147,16 @@ class Network:
     def __post_init__(self):
         indptr, indices = self.local_indptr, self.local_indices
         if self.long_u.size:
-            lu, lv = self.local_edges()
-            indptr, indices = _build_csr(
-                self.n_nodes, np.concatenate([lu, self.long_u]), np.concatenate([lv, self.long_v])
-            )
+            n = self.n_nodes
+            src = np.concatenate([self.long_u, self.long_v]).astype(np.int64, copy=False)
+            dst = np.concatenate([self.long_v, self.long_u]).astype(np.int64, copy=False)
+            if src.min() < 0 or src.max() >= n:
+                raise ValueError(f"a long link has an endpoint outside [0, {n})")
+            # The local keys ascend, so inserting the sorted long-link keys at
+            # their sorted positions gives the key order of the union.
+            keys = np.sort(src * n + dst)
+            indices = np.insert(indices, np.searchsorted(row_keys(indptr, indices), keys), keys % n)
+            indptr = indptr + np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
         object.__setattr__(self, "adj_indptr", indptr)
         object.__setattr__(self, "adj_indices", indices)
         object.__setattr__(self, "degrees", np.diff(indptr))
@@ -148,12 +166,16 @@ class Network:
                    boundary: BoundaryMode, radio_range: float) -> "Network":
         """Network over ``positions`` whose local edges are the pairs (u[k], v[k]).
 
-        Each pair joins two distinct ids in [0, n) and appears once, in
-        either orientation; anything else raises ValueError.
+        Each pair joins two distinct integer ids in [0, n) and appears
+        once, in either orientation; anything else raises ValueError.
         """
         positions = np.asarray(positions, dtype=float)
         n = positions.shape[0]
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        u, v = np.asarray(u), np.asarray(v)
+        for ids in (u, v):
+            if ids.size and not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"node ids must be integers, got dtype {ids.dtype}")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         if u.shape != v.shape or u.ndim != 1:
             raise ValueError(f"u and v must be 1-d and equal in length, got shapes {u.shape} and {v.shape}")
         outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
@@ -164,9 +186,9 @@ class Network:
         if loops.size:
             raise ValueError(f"self-loop at node {u[loops[0]]}")
         indptr, indices = _build_csr(n, u, v)
-        # The rows come out sorted, so the keys row * n + neighbor do too,
-        # and a pair given twice leaves two equal keys side by side.
-        key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+        # The rows come out sorted, so their keys ascend, and a pair given
+        # twice leaves two equal keys side by side.
+        key = row_keys(indptr, indices)
         twice = np.flatnonzero(key[1:] == key[:-1])
         if twice.size:
             k = key[twice[0]]
@@ -204,6 +226,12 @@ class Network:
         return 2.0 * self.n_local_edges / self.n_nodes
 
 
+def row_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Key row * n + neighbor of each CSR entry, n = len(indptr) - 1; ascending for sorted rows."""
+    n = indptr.size - 1
+    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+
+
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR with sorted neighbor lists from an undirected edge list."""
     src = np.concatenate([u, v]).astype(np.int64, copy=False)
@@ -222,7 +250,11 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
     the boundary metric. Candidate pairs come from a ``CellGrid`` with cells
     at least radio_range wide: the pairs of cells less than radio_range
     apart, i.e. the 3 x 3 neighborhood of each cell, or every pair on a
-    grid of one or two cells per axis.
+    grid of one or two cells per axis. A screen on the per-axis
+    (minimum-image) deltas, dx*dx + dy*dy <= R*R*(1 + 1e-9), drops the
+    candidates that are clearly too far; its slack covers the rounding
+    of the squares, so it keeps every pair within R. ``pair_distances``
+    <= radio_range then decides the survivors, as the one metric.
     """
     positions = np.asarray(points, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -241,11 +273,19 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
         )
 
     grid = CellGrid(positions, side, boundary, radio_range)
+    x, y = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
+    screen = radio_range * radio_range * (1 + 1e-9)
     edges_u = [np.empty(0, dtype=np.int64)]
     edges_v = [np.empty(0, dtype=np.int64)]
     for ci, cj in grid.pairs(np.flatnonzero(grid.dmin < radio_range)):
-        d = pair_distances(positions[ci], positions[cj], side, boundary)
-        keep = d <= radio_range
+        dx, dy = np.abs(x[ci] - x[cj]), np.abs(y[ci] - y[cj])
+        if boundary is BoundaryMode.TORUS:
+            dx, dy = np.minimum(dx, side - dx), np.minimum(dy, side - dy)
+        near = np.flatnonzero(dx * dx + dy * dy <= screen)
+        ci, cj = ci[near], cj[near]
+        # take gathers whole rows many times faster than fancy indexing does.
+        a, b = positions.take(ci, axis=0), positions.take(cj, axis=0)
+        keep = pair_distances(a, b, side, boundary) <= radio_range
         edges_u.append(ci[keep])
         edges_v.append(cj[keep])
 

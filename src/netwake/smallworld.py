@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import LinkSamplingError
 from .geometry import pair_distances
-from .network import CellGrid, Network
+from .network import CellGrid, Network, row_keys
 
 _BATCH_MIN = 256
 # Proposals per batch of the cell-offset sampler.
@@ -154,7 +154,7 @@ class _CellSampler:
         k = np.minimum(k, self.cum.size - 1)
         u = rng.integers(0, net.n_nodes, _PROPOSALS)
         slot = rng.integers(0, self.max_count, _PROPOSALS)
-        b, inside = grid.shift(u, self.offsets[k])
+        b, inside = grid.shift(grid.coords[u, 0], grid.coords[u, 1], self.offsets[k])
         kept = np.flatnonzero(inside & (slot < grid.counts[b]))
         u, k = u[kept], k[kept]
         v = grid.order[grid.starts[b[kept]] + slot[kept]]
@@ -193,7 +193,7 @@ def _place_links(net: Network, n_new: int, propose: Callable[[], _Candidates],
     n = net.n_nodes
     # Local edges as keys src * n + dst: ascending in CSR order, and both
     # orientations are listed, so every pair key of a local edge is there.
-    local_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(net.local_indptr)) + net.local_indices
+    local_keys = row_keys(net.local_indptr, net.local_indices)
     taken = np.sort(_pair_keys(net.long_u, net.long_v, n))
 
     def free(keys):

@@ -5,6 +5,7 @@ import pytest
 
 from netwake.geometry import BoundaryMode, expected_degree, sample_points
 from netwake.network import CellGrid, Network, _build_csr, build_rgg, concat_ranges
+from netwake.smallworld import LinkScheme, add_long_range_links
 
 from conftest import (
     bfs_labeling,
@@ -67,6 +68,20 @@ class TestFromEdges:
         np.testing.assert_array_equal(net.neighbors(0), [1, 2])
         np.testing.assert_array_equal(net.degrees, [2, 1, 2, 1])
 
+    def test_non_integer_ids_rejected(self):
+        # int64 conversion would truncate 0.9 and 2.2 to the edge (0, 2).
+        with pytest.raises(ValueError, match="node ids must be integers, got dtype float64"):
+            Network.from_edges(np.zeros((3, 2)), np.array([0.9]), np.array([2.2]), 1.0, TORUS, 1.0)
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            Network.from_edges(np.zeros((3, 2)), np.array([0]), np.array([2.0]), 1.0, TORUS, 1.0)
+
+    @pytest.mark.parametrize("empty", [np.array([]), np.empty(0, dtype=np.int32), []])
+    def test_empty_ids_of_any_dtype_accepted(self, empty):
+        net = Network.from_edges(np.zeros((3, 2)), empty, empty, 1.0, TORUS, 1.0)
+        assert net.n_local_edges == 0
+        np.testing.assert_array_equal(net.adj_indptr, [0, 0, 0, 0])
+        assert net.adj_indices.dtype == np.int64
+
 
 def test_network_is_frozen():
     net = network_from_edges(3, [(0, 1)])
@@ -121,6 +136,26 @@ class TestBuildRgg:
         expected = expected_degree(0.01, 12.5)
         assert abs(np.mean(degs) - expected) / expected < 0.05
 
+    # Pairs at exactly R, where the squared-distance screen must keep them:
+    # a 3-4-5 triangle, the wrap of a torus in x, in y and diagonally, and
+    # deltas whose squares round to just above R*R although hypot is R.
+    @pytest.mark.parametrize("boundary,a,b", [
+        (PLANAR, (10.0, 10.0), (13.0, 14.0)),
+        (TORUS, (10.0, 10.0), (13.0, 14.0)),
+        (TORUS, (1.0, 50.0), (96.0, 50.0)),
+        (TORUS, (50.0, 2.0), (50.0, 97.0)),
+        (TORUS, (1.0, 2.0), (98.0, 98.0)),
+        (PLANAR, (0.0, 0.0), (4.557705474120502, 2.056044943859937)),
+        (TORUS, (0.0, 0.0), (4.557705474120502, 2.056044943859937)),
+    ], ids=["345-planar", "345-torus", "wrap-x", "wrap-y", "wrap-diagonal",
+            "rounded-square-planar", "rounded-square-torus"])
+    def test_pair_at_exactly_range_is_an_edge(self, boundary, a, b):
+        pts = np.array([a, b, (50.0, 50.0)])
+        net = build_rgg(pts, 5.0, 100.0, boundary)
+        assert edge_set(net) == brute_force_edges(pts, 5.0, 100.0, boundary) == {(0, 1)}
+        # Just short of the distance, the pair is out.
+        assert build_rgg(pts, np.nextafter(5.0, 0.0), 100.0, boundary).n_local_edges == 0
+
     def test_tiny_range_gives_empty_edge_set(self, rng):
         # The grid is capped at 2 sqrt(N) + 1 cells per axis, not L / R = 10^5.
         net = build_rgg(sample_points(100, 1000.0, rng), 0.01, 1000.0, TORUS)
@@ -160,6 +195,47 @@ def test_cell_grid_pairs_cover_each_pair_once(boundary, g):
     assert all(a != b for a, b in pairs)
     unordered = [tuple(sorted(p)) for p in pairs]
     assert len(unordered) == len(set(unordered)) == 60 * 59 // 2
+
+
+def _csr_of_union(net):
+    lu, lv = net.local_edges()
+    return _build_csr(net.n_nodes, np.concatenate([lu, net.long_u]), np.concatenate([lv, net.long_v]))
+
+
+class TestLongLinkMerge:
+    @pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+    @pytest.mark.parametrize("scheme", [LinkScheme.uniform(0.05), LinkScheme.power_law(0.05, 2.0)],
+                             ids=["uniform", "powerlaw"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_csr_of_all_edges(self, boundary, scheme, seed):
+        rng = np.random.default_rng(seed)
+        net = build_rgg(sample_points(400, 100.0, rng), 6.0, 100.0, boundary)
+        linked = add_long_range_links(add_long_range_links(net, scheme, rng), scheme, rng)
+        indptr, indices = _csr_of_union(linked)
+        np.testing.assert_array_equal(linked.adj_indptr, indptr)
+        np.testing.assert_array_equal(linked.adj_indices, indices)
+        assert linked.adj_indptr.dtype == linked.adj_indices.dtype == np.int64
+        np.testing.assert_array_equal(linked.degrees, np.diff(indptr))
+
+    def test_repeated_link_and_self_loop_merge_without_raising(self, rng):
+        # Networks made by ``replace`` skip the from_edges checks; the merge
+        # still lists every entry, as a CSR of all edges would.
+        net = build_rgg(sample_points(50, 10.0, rng), 2.0, 10.0, TORUS)
+        odd = dataclasses.replace(net, long_u=np.array([3, 3, 7, 0]), long_v=np.array([9, 9, 7, 49]),
+                                  long_length=np.ones(4))
+        indptr, indices = _csr_of_union(odd)
+        np.testing.assert_array_equal(odd.adj_indptr, indptr)
+        np.testing.assert_array_equal(odd.adj_indices, indices)
+        assert odd.degrees[7] == net.degrees[7] + 2
+        assert odd.degrees[3] == net.degrees[3] + 2
+        assert np.count_nonzero(odd.neighbors(3) == 9) == 2 + np.count_nonzero(net.neighbors(3) == 9)
+
+
+    @pytest.mark.parametrize("lu,lv", [(3, 50), (-1, 4)])
+    def test_link_outside_the_nodes_rejected(self, rng, lu, lv):
+        net = build_rgg(sample_points(50, 10.0, rng), 2.0, 10.0, TORUS)
+        with pytest.raises(ValueError, match=r"long link has an endpoint outside \[0, 50\)"):
+            dataclasses.replace(net, long_u=np.array([lu]), long_v=np.array([lv]), long_length=np.ones(1))
 
 
 class TestComponents:
