@@ -154,27 +154,21 @@ def select_seed(net: Network, spec: SeedSpec, rng: np.random.Generator) -> np.nd
     return np.unique(np.array([hub, int(pair[0]), int(pair[1])], dtype=np.int64))
 
 
-def _neighbors_of(net: Network, nodes: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of the given nodes."""
-    starts = net.adj_indptr[nodes]
-    counts = net.adj_indptr[nodes + 1] - starts
-    return net.adj_indices[concat_ranges(starts, counts)]
-
-
-def _with_activations(net: Network, counts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """``counts`` plus one at each neighbor of each of ``nodes``."""
-    return counts + np.bincount(_neighbors_of(net, nodes), minlength=net.n_nodes)
+def _neighbors_of(net: Network, nodes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenated neighbor lists of the given nodes, whose degrees are ``sizes``."""
+    return net.adj_indices[concat_ranges(net.adj_indptr[nodes], sizes)]
 
 
 def initial_state(net: Network, seeds: np.ndarray) -> CascadeState:
     """State at t=0 with the seed set switched on."""
     activation_time = np.full(net.n_nodes, NEVER, dtype=np.int64)
     activation_time[seeds] = 0
+    reached = _neighbors_of(net, seeds, net.degrees[seeds])
     return CascadeState(
         activation_time=activation_time,
         t=0,
         newly_activated=np.asarray(seeds, dtype=np.int64),
-        active_neighbor_counts=_with_activations(net, np.zeros(net.n_nodes, dtype=np.int64), seeds),
+        active_neighbor_counts=np.bincount(reached, minlength=net.n_nodes),
     )
 
 
@@ -183,29 +177,41 @@ def _step(net: Network, state: CascadeState, phi: float, rank: np.ndarray | None
 
     ``visible`` counts the active neighbors a node sees when it decides:
     the pre-step ones plus the step's activations of lower rank. With
-    ``rank=None`` nothing is seen within the step: one round is the step.
+    ``rank=None`` nothing is seen within the step: one round is the step,
+    and ``visible`` is the pre-step count itself, never written. Each
+    round's neighbor lists are gathered once and give both the next
+    round's candidates and the end-of-step counts.
     """
     t = state.t + 1
     activation_time = state.activation_time.copy()
-    visible = state.active_neighbor_counts.copy()
+    counts = state.active_neighbor_counts
+    visible = counts if rank is None else counts.copy()
     candidates = np.flatnonzero((visible > 0) & (activation_time == NEVER))
-    rounds = []
+    none = np.empty(0, dtype=np.int64)
+    rounds, reached = [none], [none]
     while candidates.size:
         newly = candidates[visible[candidates] / net.degrees[candidates] >= phi]
         if newly.size == 0:
             break
         activation_time[newly] = t
+        sizes = net.degrees[newly]
+        targets = _neighbors_of(net, newly, sizes)
         rounds.append(newly)
+        reached.append(targets)
         if rank is None:
             break
-        targets = _neighbors_of(net, newly)
-        source_rank = np.repeat(rank[newly], net.degrees[newly])
-        later = (activation_time[targets] == NEVER) & (rank[targets] > source_rank)
-        candidates, hits = np.unique(targets[later], return_counts=True)
-        visible[candidates] += hits
-    newly = np.sort(np.concatenate(rounds)) if rounds else np.empty(0, dtype=np.int64)
-    return CascadeState(activation_time=activation_time, t=t, newly_activated=newly,
-                        active_neighbor_counts=_with_activations(net, state.active_neighbor_counts, newly))
+        source_rank = np.repeat(rank[newly], sizes)
+        later = np.sort(targets[(activation_time[targets] == NEVER) & (rank[targets] > source_rank)])
+        # Each run of equal nodes in ``later`` is one candidate and its hits.
+        first = np.empty(later.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(later[1:], later[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        candidates = later[starts]
+        visible[candidates] += np.diff(np.append(starts, later.size))
+    counts = counts + np.bincount(np.concatenate(reached), minlength=net.n_nodes)
+    return CascadeState(activation_time=activation_time, t=t, newly_activated=np.sort(np.concatenate(rounds)),
+                        active_neighbor_counts=counts)
 
 
 def step_synchronous(net: Network, state: CascadeState, phi: float) -> CascadeState:

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single cascade")
     common(p_run, threads=False)
     p_run.add_argument("--snapshots", default=None,
-                       help="comma list of step indices to export snapshots at")
+                       help="comma list of step indices (>= 0) to export snapshots at")
 
     p_tr = sub.add_parser("transition", help="estimate cascade-window boundaries from an R sweep")
     common(p_tr, threads=True)
@@ -154,19 +154,28 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _snapshot_steps(text: str) -> list[int]:
+    """The steps of a --snapshots list: integers >= 0, comma-separated."""
+    try:
+        steps = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--snapshots must be a comma list of integers, got {text!r}")
+    negative = [step for step in steps if step < 0]
+    if negative:
+        raise ConfigError(f"--snapshots steps must be >= 0, got {negative[0]}")
+    return steps
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args.config, args.seed)
     if isinstance(cfg, SweepSpec):
         raise ConfigError("the run subcommand needs a config without a sweep block")
+    steps = _snapshot_steps(args.snapshots) if args.snapshots else []
     start = time.monotonic()
     rep = run_replicate(cfg, 0)
     print(summarize_run(rep.outcome, rep.report))
 
-    if args.snapshots:
-        try:
-            steps = [int(s) for s in args.snapshots.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"--snapshots must be a comma list of integers, got {args.snapshots!r}")
+    if steps:
         base = args.out or "snapshot.csv"
         for step in steps:
             manifest = RunManifest(

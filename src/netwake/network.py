@@ -7,21 +7,29 @@ per axis, so a tiny R cannot blow up the grid) and tests only the pairs
 of cells close enough to hold a pair within R: the expected cost is
 O(N * mean degree) instead of O(N^2), on grids of any size. The grid
 pairs each node with the contiguous run of sorted slots of a nearby
-cell, a cheap squared-distance screen on 1-D coordinate arrays drops
-most of those pairs, and the boundary metric ``pair_distances`` decides
-the rest. Long-range links added later by the smallworld module live in
-a separate edge class but count as ordinary neighbors for adjacency
-queries and connectivity.
+cell, a squared-distance screen on 1-D coordinate arrays decides almost
+every pair, and the boundary metric ``pair_distances`` decides the thin
+shell at distance ~R that the screen cannot. Long-range links added
+later by the smallworld module live in a separate edge class but count
+as ordinary neighbors for adjacency queries and connectivity.
+
+What depends only on the configuration is computed once per process,
+not once per network: ``offset_tables`` keeps the read-only cell-offset
+tables of a grid, keyed on (g, torus, side), for the last _TABLES_KEPT
+grid shapes. The tables are a pure function of that key, so a cached
+table is bit-equal to a fresh one.
 
 ``Network`` is the one owner of the edge format: it is frozen, and it
 derives the merged adjacency and the degrees from its edge lists once,
 on construction, by inserting the few long-link entries into the sorted
-local rows. A network with more links is a new ``Network``
+local rows at the positions ``row_positions`` finds, reading only those
+rows. A network with more links is a new ``Network``
 (``dataclasses.replace``), never an edited one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +38,10 @@ from typing import Iterator
 import numpy as np
 
 from .geometry import BoundaryMode, pair_distances
+
+# Offset tables kept at once: the build grid and the sampler grid of one
+# configuration. A sweep over R or N replaces them instead of piling up.
+_TABLES_KEPT = 2
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -44,7 +56,24 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     # Output slot t of range r holds starts[r] + (t - (ends[r] - counts[r])).
     shifts = np.asarray(starts, dtype=np.int64) - (ends - counts)
-    return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)
+    out = np.repeat(shifts, counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def offset_tables(g: int, torus: bool, side: float) -> tuple[np.ndarray, ...]:
+    """Read-only (dx, dy, dmin, inverse) of every cell offset of a g x g grid (see ``CellGrid``)."""
+    steps = np.arange(g) if torus else np.arange(1 - g, g)
+    back = (-steps) % g if torus else steps[::-1] + g - 1
+    gaps = np.minimum(steps, g - steps) if torus else np.abs(steps)
+    gaps = np.maximum(gaps - 1, 0) * (side / g)
+    m = steps.size
+    tables = (np.repeat(steps, m), np.tile(steps, m), np.hypot(gaps[:, None], gaps[None, :]).ravel(),
+              (back[:, None] * m + back[None, :]).ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class CellGrid:
@@ -53,12 +82,15 @@ class CellGrid:
     Cells are at least ``min_cell`` wide, with at most 2 sqrt(N) + 1 per
     axis (at least 1). ``coords`` holds each node's cell (x, y), ``counts``
     and ``starts`` each cell's node count and first slot in ``order``, the
-    nodes sorted stably by cell id x * g + y.
+    nodes sorted by cell id x * g + y and by node id within a cell: one
+    plain sort of the unique keys cell * n + node, whose remainders mod n
+    are the stable argsort of the cell ids.
 
     Offset k shifts a cell by (dx[k], dy[k]): residues mod g on the torus,
     signed in [1 - g, g - 1] on the plane. ``dmin[k]`` is the least
     distance between points of two cells k apart, and ``inverse[k]`` is
-    the offset that shifts back.
+    the offset that shifts back. These four come read-only from
+    ``offset_tables``, shared by every grid of the same shape.
     """
 
     def __init__(self, positions: np.ndarray, side: float, boundary: BoundaryMode, min_cell: float):
@@ -70,17 +102,8 @@ class CellGrid:
         cell = self.coords[:, 0] * g + self.coords[:, 1]
         self.counts = np.bincount(cell, minlength=g * g)
         self.starts = np.concatenate([[0], np.cumsum(self.counts)])
-        self.order = np.argsort(cell, kind="stable")
-
-        steps = np.arange(g) if self.torus else np.arange(1 - g, g)
-        back = (-steps) % g if self.torus else steps[::-1] + g - 1
-        gaps = np.minimum(steps, g - steps) if self.torus else np.abs(steps)
-        gaps = np.maximum(gaps - 1, 0) * (side / g)
-        m = steps.size
-        self.dx = np.repeat(steps, m)
-        self.dy = np.tile(steps, m)
-        self.dmin = np.hypot(gaps[:, None], gaps[None, :]).ravel()
-        self.inverse = (back[:, None] * m + back[None, :]).ravel()
+        self.order = np.sort(cell * n + np.arange(n)) % n
+        self.dx, self.dy, self.dmin, self.inverse = offset_tables(g, self.torus, side)
 
     def shift(self, cx: np.ndarray, cy: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
         """Cell (cx, cy) shifted by offset k, and the mask of shifts inside the grid."""
@@ -152,10 +175,11 @@ class Network:
             dst = np.concatenate([self.long_v, self.long_u]).astype(np.int64, copy=False)
             if src.min() < 0 or src.max() >= n:
                 raise ValueError(f"a long link has an endpoint outside [0, {n})")
-            # The local keys ascend, so inserting the sorted long-link keys at
-            # their sorted positions gives the key order of the union.
+            # Inserting the entries in key order at their row positions gives
+            # the sorted rows of the union.
             keys = np.sort(src * n + dst)
-            indices = np.insert(indices, np.searchsorted(row_keys(indptr, indices), keys), keys % n)
+            rows, cols = np.divmod(keys, n)
+            indices = np.insert(indices, row_positions(indptr, indices, rows, cols), cols)
             indptr = indptr + np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
         object.__setattr__(self, "adj_indptr", indptr)
         object.__setattr__(self, "adj_indices", indices)
@@ -186,13 +210,15 @@ class Network:
         if loops.size:
             raise ValueError(f"self-loop at node {u[loops[0]]}")
         indptr, indices = _build_csr(n, u, v)
-        # The rows come out sorted, so their keys ascend, and a pair given
-        # twice leaves two equal keys side by side.
-        key = row_keys(indptr, indices)
-        twice = np.flatnonzero(key[1:] == key[:-1])
+        # The rows come out sorted, so a pair given twice leaves two equal
+        # entries side by side within one row.
+        row_start = np.zeros(indices.size, dtype=bool)
+        row_start[indptr[:-1][indptr[:-1] < indices.size]] = True
+        twice = np.flatnonzero((indices[1:] == indices[:-1]) & ~row_start[1:])
         if twice.size:
-            k = key[twice[0]]
-            raise ValueError(f"edge ({k // n}, {k % n}) is given more than once")
+            k = twice[0] + 1
+            row = np.searchsorted(indptr, k, side="right") - 1
+            raise ValueError(f"edge ({row}, {indices[k]}) is given more than once")
         no_links = np.empty(0, dtype=np.int64)
         return cls(n_nodes=n, side=float(side), boundary=boundary, radio_range=float(radio_range),
                    positions=positions, local_indptr=indptr, local_indices=indices,
@@ -226,21 +252,38 @@ class Network:
         return 2.0 * self.n_local_edges / self.n_nodes
 
 
-def row_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Key row * n + neighbor of each CSR entry, n = len(indptr) - 1; ascending for sorted rows."""
-    n = indptr.size - 1
-    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+def row_positions(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Insertion position of each (rows[k], cols[k]) in a CSR with sorted rows.
+
+    That is indptr[row] plus the count of the row's entries below col, the
+    position ``np.searchsorted`` finds for the key row * n + col among the
+    keys of all entries; but only the rows asked for are read.
+    """
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    below = indices[concat_ranges(starts, sizes)] < np.repeat(cols, sizes)
+    # Differences of the running count give each key's count, rows of
+    # size zero included.
+    running = np.concatenate([[0], np.cumsum(below)])
+    ends = np.cumsum(sizes)
+    return starts + running[ends] - running[ends - sizes]
 
 
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR with sorted neighbor lists from an undirected edge list."""
-    src = np.concatenate([u, v]).astype(np.int64, copy=False)
-    dst = np.concatenate([v, u]).astype(np.int64, copy=False)
-    # One sort of the key src * n + dst orders by source, then by neighbor.
-    key = np.sort(src * n + dst)
-    counts = np.bincount(src, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return indptr, key % n
+    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+    m = u.size
+    # One sort of the keys src * n + dst of both orientations orders by
+    # source, then by neighbor. The keys live in one array, worked in place.
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=key[:m])
+    np.multiply(v, n, out=key[m:])
+    key[:m] += v
+    key[m:] += u
+    key.sort()
+    counts = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    key -= np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), key
 
 
 def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: BoundaryMode) -> Network:
@@ -251,10 +294,15 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
     at least radio_range wide: the pairs of cells less than radio_range
     apart, i.e. the 3 x 3 neighborhood of each cell, or every pair on a
     grid of one or two cells per axis. A screen on the per-axis
-    (minimum-image) deltas, dx*dx + dy*dy <= R*R*(1 + 1e-9), drops the
-    candidates that are clearly too far; its slack covers the rounding
-    of the squares, so it keeps every pair within R. ``pair_distances``
-    <= radio_range then decides the survivors, as the one metric.
+    (minimum-image) deltas decides almost every candidate. With
+    d2 = dx*dx + dy*dy, a pair with d2 <= R*R*(1 - 1e-9) is an edge and a
+    pair with d2 > R*R*(1 + 1e-9) is not: the deltas are bit-equal to the
+    ones ``pair_distances`` takes, and the squares round by a few ulp, far
+    below the 1e-9 slack. Only the thin shell between the two goes to
+    ``pair_distances`` <= radio_range, the one metric. Where R*R*(1 - 1e-9)
+    is below 1e-290 or infinite, the squares can underflow or overflow, so
+    the screen decides nothing and every candidate goes to
+    ``pair_distances``.
     """
     positions = np.asarray(points, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -274,15 +322,31 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
 
     grid = CellGrid(positions, side, boundary, radio_range)
     x, y = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
-    screen = radio_range * radio_range * (1 + 1e-9)
+    square = radio_range * radio_range
+    inner, outer = square * (1 - 1e-9), square * (1 + 1e-9)
+    if not 1e-290 <= inner < math.inf:
+        inner, outer = -1.0, math.inf
     edges_u = [np.empty(0, dtype=np.int64)]
     edges_v = [np.empty(0, dtype=np.int64)]
     for ci, cj in grid.pairs(np.flatnonzero(grid.dmin < radio_range)):
-        dx, dy = np.abs(x[ci] - x[cj]), np.abs(y[ci] - y[cj])
+        # The deltas and squares are worked in place: at this size a fresh
+        # array costs more than the arithmetic in it.
+        dx, dy = x[ci], y[ci]
+        dx -= x[cj]
+        dy -= y[cj]
+        np.abs(dx, out=dx)
+        np.abs(dy, out=dy)
         if boundary is BoundaryMode.TORUS:
-            dx, dy = np.minimum(dx, side - dx), np.minimum(dy, side - dy)
-        near = np.flatnonzero(dx * dx + dy * dy <= screen)
-        ci, cj = ci[near], cj[near]
+            np.minimum(dx, side - dx, out=dx)
+            np.minimum(dy, side - dy, out=dy)
+        dx *= dx
+        dy *= dy
+        d2 = np.add(dx, dy, out=dx)
+        near = np.flatnonzero(d2 <= outer)
+        ci, cj, sure = ci[near], cj[near], d2[near] <= inner
+        edges_u.append(ci[sure])
+        edges_v.append(cj[sure])
+        ci, cj = ci[~sure], cj[~sure]
         # take gathers whole rows many times faster than fancy indexing does.
         a, b = positions.take(ci, axis=0), positions.take(cj, axis=0)
         keep = pair_distances(a, b, side, boundary) <= radio_range

@@ -125,7 +125,8 @@ def export_snapshot(
         raise ValueError(f"state covers {active.size} nodes, network has {net.n_nodes}")
 
     lu, lv = net.local_edges()
-    local_d = pair_distances(net.positions[lu], net.positions[lv], net.side, net.boundary)
+    positions = net.positions
+    local_d = pair_distances(positions.take(lu, axis=0), positions.take(lv, axis=0), net.side, net.boundary)
 
     with open(destination, "w", newline="") as fh:
         for line in manifest.lines():

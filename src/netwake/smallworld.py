@@ -30,6 +30,16 @@ Each ordered pair (u, v) is thus accepted with probability proportional
 to w(d). The R floor in B(o) needs one precondition, which every network
 from ``build_rgg`` meets: every pair within R is a local edge.
 
+Only the binning depends on the deployment. The offsets of positive
+bound, in stable ascending order of B(o), their bounds and cumulative
+sum depend only on the configuration, so ``_offset_bounds`` computes
+them once and keeps them read-only, keyed on (g, torus, side, R,
+scheme), for one configuration at a time; a sweep over delta or d_c
+replaces the entry. They are a pure function of that key, so the cached
+arrays are bit-equal to fresh ones and every draw is unchanged. The
+local-edge test of a candidate reads only the CSR row of one endpoint
+(``network.row_positions``).
+
 Infeasibility is decided exactly, never by a count of rejected draws. A
 LinkSamplingError means that:
 
@@ -53,6 +63,7 @@ metric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -62,7 +73,7 @@ import numpy as np
 
 from .errors import LinkSamplingError
 from .geometry import pair_distances
-from .network import CellGrid, Network, row_keys
+from .network import CellGrid, Network, offset_tables, row_positions
 
 _BATCH_MIN = 256
 # Proposals per batch of the cell-offset sampler.
@@ -128,37 +139,53 @@ class LinkScheme:
 _Candidates = tuple[np.ndarray, np.ndarray, np.ndarray]  # u, v, distance, in draw order
 
 
-class _CellSampler:
-    """Exact cell-offset proposals for a nonincreasing pair weight."""
+@functools.lru_cache(maxsize=1)
+def _offset_bounds(g: int, torus: bool, side: float, radio_range: float,
+                   scheme: LinkScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only offsets of positive bound B(o), ascending in B (stably), their bounds and cumulative sum."""
+    bound = scheme.weight(np.maximum(offset_tables(g, torus, side)[2], radio_range))
+    # Ascending bounds keep every positive bound visible in the cumulative sum.
+    keep = np.argsort(bound, kind="stable")
+    offsets = keep[bound[keep] > 0]
+    bound = bound[offsets]
+    tables = (offsets, bound, np.cumsum(bound))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    def __init__(self, net: Network, weight: Callable[[np.ndarray], np.ndarray]):
+
+class _CellSampler:
+    """Exact cell-offset proposals for the nonincreasing pair weight of ``scheme``."""
+
+    def __init__(self, net: Network, scheme: LinkScheme):
         self.grid = grid = CellGrid(net.positions, net.side, net.boundary, net.radio_range / 2)
         self.max_count = int(grid.counts.max())
-        bound = weight(np.maximum(grid.dmin, net.radio_range))
-        # Ascending bounds keep every positive bound visible in the cumulative sum.
-        keep = np.argsort(bound, kind="stable")
-        self.offsets = keep[bound[keep] > 0]
+        self.offsets, self.bound, self.cum = _offset_bounds(grid.g, grid.torus, net.side, net.radio_range,
+                                                            scheme)
         if self.offsets.size == 0:
             # B(o) bounds the weight of every non-local pair at offset o.
             raise LinkSamplingError(
                 f"no node pair beyond the radio range {net.radio_range:g} has positive weight"
             )
-        self.bound = bound[self.offsets]
-        self.cum = np.cumsum(self.bound)
-        self.net, self.weight = net, weight
+        self.net, self.weight = net, scheme.weight
 
     def propose(self, rng: np.random.Generator) -> _Candidates:
         """One batch of accepted proposals."""
         net, grid = self.net, self.grid
-        k = np.searchsorted(self.cum, rng.random(_PROPOSALS) * self.cum[-1], side="right")
-        k = np.minimum(k, self.cum.size - 1)
+        mass = rng.random(_PROPOSALS) * self.cum[-1]
+        # The search runs on the masses in ascending order, several times
+        # faster than on random ones, and the results go back in draw order.
+        by_mass = np.argsort(mass)
+        k = np.empty(_PROPOSALS, dtype=np.int64)
+        k[by_mass] = np.minimum(np.searchsorted(self.cum, mass[by_mass], side="right"), self.cum.size - 1)
         u = rng.integers(0, net.n_nodes, _PROPOSALS)
         slot = rng.integers(0, self.max_count, _PROPOSALS)
-        b, inside = grid.shift(grid.coords[u, 0], grid.coords[u, 1], self.offsets[k])
+        cell = grid.coords.take(u, axis=0)
+        b, inside = grid.shift(cell[:, 0], cell[:, 1], self.offsets[k])
         kept = np.flatnonzero(inside & (slot < grid.counts[b]))
         u, k = u[kept], k[kept]
         v = grid.order[grid.starts[b[kept]] + slot[kept]]
-        d = pair_distances(net.positions[u], net.positions[v], net.side, net.boundary)
+        d = _distances(net, u, v)
         accept = rng.random(d.size) * self.bound[k] < self.weight(d)
         return u[accept], v[accept], d[accept]
 
@@ -166,8 +193,15 @@ class _CellSampler:
         """Keys of every pair of positive weight, one cell offset at a time."""
         net = self.net
         for u, v in self.grid.pairs(self.offsets):
-            d = pair_distances(net.positions[u], net.positions[v], net.side, net.boundary)
+            d = _distances(net, u, v)
             yield _pair_keys(u, v, net.n_nodes)[self.weight(d) > 0]
+
+
+def _distances(net: Network, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Metric distance of each pair (u[k], v[k])."""
+    # take gathers whole rows many times faster than fancy indexing does.
+    positions = net.positions
+    return pair_distances(positions.take(u, axis=0), positions.take(v, axis=0), net.side, net.boundary)
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -191,13 +225,19 @@ def _place_links(net: Network, n_new: int, propose: Callable[[], _Candidates],
     once, after _STALL_BATCHES batches in a row without a new link.
     """
     n = net.n_nodes
-    # Local edges as keys src * n + dst: ascending in CSR order, and both
-    # orientations are listed, so every pair key of a local edge is there.
-    local_keys = row_keys(net.local_indptr, net.local_indices)
+    indptr, indices = net.local_indptr, net.local_indices
     taken = np.sort(_pair_keys(net.long_u, net.long_v, n))
 
+    def local(keys):
+        # A local edge {a, b} sits in row a at the position where b would go.
+        a, b = np.divmod(keys, n)
+        pos = row_positions(indptr, indices, a, b)
+        hit = pos < indptr[a + 1]
+        hit[hit] = indices[pos[hit]] == b[hit]
+        return hit
+
     def free(keys):
-        return ~(_in_sorted(taken, keys) | _in_sorted(local_keys, keys))
+        return ~(_in_sorted(taken, keys) | local(keys))
 
     placed = []
     found = idle = 0
@@ -258,11 +298,11 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
         def propose():
             us = rng.integers(0, n, batch)
             vs = rng.integers(0, n, batch)
-            return us, vs, pair_distances(net.positions[us], net.positions[vs], net.side, net.boundary)
+            return us, vs, _distances(net, us, vs)
 
         new_u, new_v, new_d = _place_links(net, n_new, propose, None)
     else:
-        sampler = _CellSampler(net, scheme.weight)
+        sampler = _CellSampler(net, scheme)
         new_u, new_v, new_d = _place_links(net, n_new, lambda: sampler.propose(rng), sampler.positive_pairs)
     return replace(
         net,

@@ -150,6 +150,13 @@ class TestRunCommand:
         cfg = write(tmp_path, "r.conf", FAST_BASE)
         assert main(["run", "--config", cfg, "--snapshots", "a,b"]) == EXIT_PARSE
 
+    def test_negative_snapshot_step_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "r.conf", FAST_BASE)
+        base = str(tmp_path / "snap.csv")
+        assert main(["run", "--config", cfg, "--out", base, "--snapshots=-3,0"]) == EXIT_PARSE
+        assert "-3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("snap_t*.csv"))
+
 
 class TestTransitionCommand:
     def test_estimates_onset(self, tmp_path):

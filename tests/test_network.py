@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netwake.geometry import BoundaryMode, expected_degree, sample_points
-from netwake.network import CellGrid, Network, _build_csr, build_rgg, concat_ranges
+from netwake.network import CellGrid, Network, _build_csr, build_rgg, concat_ranges, offset_tables, row_positions
 from netwake.smallworld import LinkScheme, add_long_range_links
 
 from conftest import (
@@ -195,6 +195,102 @@ def test_cell_grid_pairs_cover_each_pair_once(boundary, g):
     assert all(a != b for a, b in pairs)
     unordered = [tuple(sorted(p)) for p in pairs]
     assert len(unordered) == len(set(unordered)) == 60 * 59 // 2
+
+
+@pytest.mark.parametrize("case", ["random", "one-cell", "empty-cells", "one-node", "one-cell-per-axis"])
+def test_cell_grid_order_is_the_stable_argsort(case):
+    rng = np.random.default_rng(5)
+    side, min_cell, n = 100.0, 10.0, 200
+    if case == "one-node":
+        n = 1
+    pts = sample_points(n, side, rng)
+    if case == "one-cell":
+        pts = 3.0 + pts * 0.01
+    elif case == "empty-cells":
+        pts[:, 0] *= 0.3
+    elif case == "one-cell-per-axis":
+        min_cell = 80.0
+    grid = CellGrid(pts, side, TORUS, min_cell)
+    cell = grid.coords[:, 0] * grid.g + grid.coords[:, 1]
+    np.testing.assert_array_equal(grid.order, np.argsort(cell, kind="stable"))
+    assert case != "one-cell-per-axis" or grid.g == 1
+    assert case != "empty-cells" or np.count_nonzero(grid.counts == 0) > 0
+
+
+@pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+def test_offset_tables_are_fresh_and_read_only(boundary):
+    grid = CellGrid(sample_points(100, 50.0, np.random.default_rng(1)), 50.0, boundary, 7.0)
+    torus = boundary is TORUS
+    fresh = offset_tables.__wrapped__(grid.g, torus, 50.0)
+    for cached, table in zip((grid.dx, grid.dy, grid.dmin, grid.inverse), fresh):
+        np.testing.assert_array_equal(cached, table)
+        assert cached.dtype == table.dtype
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1
+
+
+def test_offset_table_cache_stays_bounded():
+    pts = sample_points(400, 100.0, np.random.default_rng(2))
+    for g in range(1, 21):
+        CellGrid(pts, 100.0, PLANAR, 100.0 / g)
+        assert offset_tables.cache_info().currsize <= offset_tables.cache_info().maxsize == 2
+
+
+def _keyed_positions(indptr, indices, rows, cols):
+    # Oracle: the search over the keys row * n + col of every CSR entry.
+    n = indptr.size - 1
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    return np.searchsorted(keys, rows * n + cols)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_positions_match_a_search_over_all_keys(seed):
+    # Nodes 0, 5 and 11 have no edges: zero-degree rows first, in the
+    # middle and last.
+    rng = np.random.default_rng(seed)
+    n = 12
+    live = np.array([1, 2, 3, 4, 6, 7, 8, 9, 10])
+    u, v = rng.choice(live, 40), rng.choice(live, 40)
+    keep = u != v
+    key = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    indptr, indices = _build_csr(n, key // n, key % n)
+    assert indptr[1] == 0 and indptr[-1] == indptr[-2] and indptr[6] == indptr[5]
+    rows, cols = np.divmod(rng.integers(0, n * n, 300), n)
+    # Columns past each row's last entry, and rows of size zero.
+    rows = np.concatenate([rows, np.arange(n), [0, 5, 11, 11]])
+    cols = np.concatenate([cols, np.full(n, n - 1), [3, 0, 0, 11]])
+    np.testing.assert_array_equal(row_positions(indptr, indices, rows, cols),
+                                  _keyed_positions(indptr, indices, rows, cols))
+
+
+def test_row_positions_on_an_empty_csr():
+    indptr, indices = _build_csr(4, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    rows, cols = np.array([0, 3, 3]), np.array([2, 0, 3])
+    np.testing.assert_array_equal(row_positions(indptr, indices, rows, cols), [0, 0, 0])
+    assert row_positions(indptr, indices, rows[:0], cols[:0]).size == 0
+
+
+@pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)], ids=["x", "y", "diagonal"])
+@pytest.mark.parametrize("radio,gap,edges", [(1e-170, 2e-170, 0), (1e-170, 0.5e-170, 1),
+                                             (1e-161, 1.01e-161, 0), (1e-161, 0.99e-161, 1)])
+def test_build_rgg_where_the_squares_underflow(boundary, direction, radio, gap, edges):
+    # R*R is 0 or subnormal here, so the squared-distance screen cannot
+    # tell these pairs apart; the metric still must.
+    pts = np.array([[0.0, 0.0], [gap * direction[0], gap * direction[1]]])
+    net = build_rgg(pts, radio, 1.0, boundary)
+    assert net.n_local_edges == edges
+    assert edge_set(net) == brute_force_edges(pts, radio, 1.0, boundary)
+
+
+@pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+@pytest.mark.parametrize("radio", [1e-161, 3e-160])
+def test_build_rgg_matches_brute_force_where_the_squares_are_subnormal(boundary, radio):
+    # The squares round to a subnormal grid a few percent of R*R apart, so
+    # a screen on them would drop some pairs just within R.
+    pts = sample_points(60, 2 * radio, np.random.default_rng(3))
+    net = build_rgg(pts, radio, 1.0, boundary)
+    assert edge_set(net) == brute_force_edges(pts, radio, 1.0, boundary)
 
 
 def _csr_of_union(net):

@@ -192,6 +192,20 @@ class TestSamplerExactness:
         ])
         assert ks_2samp(got, expected).pvalue > 0.01
 
+    @pytest.mark.parametrize("boundary", ["torus", "planar"])
+    def test_cached_offset_bounds_are_fresh_and_read_only(self, request, boundary):
+        net = request.getfixturevalue(f"small_{boundary}")
+        scheme = LinkScheme.power_law(0.02, 2.0)
+        sampler = sw._CellSampler(net, scheme)
+        grid = sampler.grid
+        fresh = sw._offset_bounds.__wrapped__(grid.g, grid.torus, net.side, net.radio_range, scheme)
+        bound = scheme.weight(np.maximum(grid.dmin, net.radio_range))
+        np.testing.assert_array_equal(fresh[0], np.argsort(bound, kind="stable")[-fresh[0].size:])
+        for cached, table in zip((sampler.offsets, sampler.bound, sampler.cum), fresh):
+            np.testing.assert_array_equal(cached, table)
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
+
     def test_in_batch_duplicates_near_capacity(self):
         # 12 nodes, 11 local edges: 55 free pairs for 54 links, so a batch
         # draws most pairs many times over.
@@ -236,6 +250,14 @@ class TestInfeasibility:
         with pytest.raises(LinkSamplingError, match="positive weight"):
             add_long_range_links(net, LinkScheme.power_law(0.01, delta), rng)
         assert rng.bit_generator.state == before
+
+    def test_underflowing_powerlaw_fails_on_every_call(self, small_torus):
+        # The sampler's offset bounds are cached per configuration; the
+        # second call must fail as the first did, not find a cached success.
+        scheme = LinkScheme.power_law(0.02, 400.0)
+        for _ in range(2):
+            with pytest.raises(LinkSamplingError, match="positive weight"):
+                add_long_range_links(small_torus, scheme, np.random.default_rng(2))
 
     @pytest.mark.parametrize("d_c", [4.0, 8.0])
     def test_cutoff_within_radio_range_fails_before_drawing(self, small_torus, d_c):
