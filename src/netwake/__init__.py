@@ -12,15 +12,11 @@ __version__ = "0.1.0"
 from .cascade import (
     CascadeOutcome,
     CascadeParams,
-    CascadeState,
     Schedule,
     SeedRule,
     SeedSpec,
-    initial_state,
     run_cascade,
     select_seed,
-    step_asynchronous,
-    step_synchronous,
 )
 from .config import parse_config
 from .energy import (
@@ -48,8 +44,7 @@ from .montecarlo import (
     SweepRow,
     SweepSpec,
     cell_config,
-    estimate_onset_range,
-    estimate_upper_boundary,
+    estimate_crossing,
     fit_boundary_exponent,
     replicate_rng,
     run_replicate,
@@ -64,14 +59,13 @@ __all__ = [
     "BoundaryMode", "pair_distances", "sample_points", "expected_degree",
     "Network", "build_rgg",
     "LinkScheme", "SchemeKind", "add_long_range_links",
-    "CascadeParams", "CascadeState", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",
-    "initial_state", "select_seed", "step_synchronous",
-    "step_asynchronous", "run_cascade",
+    "CascadeParams", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",
+    "select_seed", "run_cascade",
     "EnergyModel", "EnergyReport", "local_broadcast_energy", "long_range_energy",
     "account_cascade", "predicted_energy",
     "ExperimentConfig", "Replicate", "ReplicateStats", "SweepAxis", "SweepSpec", "SweepRow",
     "run_replicate", "run_replicates", "sweep", "cell_config", "replicate_rng",
-    "estimate_onset_range", "estimate_upper_boundary", "fit_boundary_exponent",
+    "estimate_crossing", "fit_boundary_exponent",
     "parse_config",
     "NetwakeError", "ConfigError", "SeedingError", "LinkSamplingError",
     "ExperimentInfeasibleError", "EstimationError",

@@ -32,8 +32,7 @@ from .errors import (
 )
 from .montecarlo import (
     SweepSpec,
-    estimate_onset_range,
-    estimate_upper_boundary,
+    estimate_crossing,
     fit_boundary_exponent,
     run_replicate,
     sweep,
@@ -197,6 +196,13 @@ def _check_transition_axes(spec: SweepSpec) -> None:
         raise ConfigError("transition estimation accepts only phi as axis2")
 
 
+def _crossing_or_none(rs, ps, rising: bool) -> float | None:
+    try:
+        return estimate_crossing(rs, ps, rising)
+    except EstimationError:
+        return None
+
+
 def _cmd_transition(args) -> int:
     spec, rows, start = _start_sweep(args, "transition", _check_transition_axes)
     phis = list(spec.axis2.values) if spec.axis2 is not None else [spec.base.phi]
@@ -207,15 +213,10 @@ def _cmd_transition(args) -> int:
     for phi in phis:
         cells = rows if spec.axis2 is None else [r for r in rows if r.axis2_value == phi]
         ps = [r.stats.p_global if r.stats else float("nan") for r in cells]
-        try:
-            onset = estimate_onset_range(rs, ps)
-        except EstimationError:
-            onset = None
-        try:
-            upper = estimate_upper_boundary(rs, ps)
+        onset = _crossing_or_none(rs, ps, rising=True)
+        upper = _crossing_or_none(rs, ps, rising=False)
+        if upper is not None:
             boundaries.append((phi, upper))
-        except EstimationError:
-            upper = None
         table.append((phi, onset, upper))
 
     extra = {}

@@ -28,8 +28,8 @@ def sample_points(n: int, side: float, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    if side <= 0:
-        raise ValueError(f"region side must be positive, got {side}")
+    if not 0 < side < math.inf:
+        raise ValueError(f"region side must be positive and finite, got {side}")
     return rng.random((n, 2)) * side
 
 

@@ -120,7 +120,8 @@ class SweepAxis:
             raise ValueError(f"cannot sweep {self.name!r}; choose from {SWEEPABLE}")
         if not self.values:
             raise ValueError(f"axis {self.name!r} has an empty grid")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        # Written so that a NaN fails it too.
+        if not all(b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"axis {self.name!r} grid must be strictly increasing")
         if self.name == "n_nodes" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"axis 'n_nodes' needs integer values, got {list(self.values)}")
@@ -358,43 +359,30 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     return rows
 
 
-def _refuse_gap(p_lo: float, p_hi: float, r_lo: float, r_hi: float) -> None:
-    if math.isnan(p_lo) or math.isnan(p_hi):
-        raise EstimationError(
-            f"a flagged cell between R={r_lo!r} and R={r_hi!r} could hide the crossing"
-        )
+def estimate_crossing(r_values, p_values, rising: bool) -> float:
+    """Range at which the cascade probability crosses 0.5: the first
+    rising crossing when ``rising``, else the last falling one (the upper
+    boundary of the cascade window), linearly interpolated between the
+    bracketing grid points.
 
-
-def estimate_onset_range(r_values, p_values, level: float = 0.5) -> float:
-    """Range at which the cascade probability first rises through ``level``.
-
-    Linear interpolation between the bracketing grid points. A NaN marks
-    a flagged cell; EstimationError is raised when one could hide an
-    earlier rising crossing.
+    A NaN marks a flagged cell; EstimationError is raised when one could
+    hide the crossing, or when there is none.
     """
     r = np.asarray(r_values, dtype=float)
     p = np.asarray(p_values, dtype=float)
-    for i in range(r.size - 1):
+    if r.ndim != 1 or r.shape != p.shape:
+        raise ValueError(f"need two 1-d grids of one length, got shapes {r.shape} and {p.shape}")
+    for i in range(r.size - 1) if rising else range(r.size - 2, -1, -1):
+        below, above = (p[i], p[i + 1]) if rising else (p[i + 1], p[i])
         # Written so that a NaN on either side leaves the crossing possible.
-        if not (p[i] >= level or p[i + 1] < level):
-            _refuse_gap(p[i], p[i + 1], r[i], r[i + 1])
-            return float(r[i] + (level - p[i]) * (r[i + 1] - r[i]) / (p[i + 1] - p[i]))
-    raise EstimationError(f"cascade probability never rises through {level} on this grid")
-
-
-def estimate_upper_boundary(r_values, p_values, level: float = 0.5) -> float:
-    """Largest range still supporting cascades: the final descending
-    crossing of ``level``, linearly interpolated. A NaN marks a flagged
-    cell; EstimationError is raised when one could hide a later falling
-    crossing."""
-    r = np.asarray(r_values, dtype=float)
-    p = np.asarray(p_values, dtype=float)
-    for i in range(r.size - 2, -1, -1):
-        # Written so that a NaN on either side leaves the crossing possible.
-        if not (p[i] < level or p[i + 1] >= level):
-            _refuse_gap(p[i], p[i + 1], r[i], r[i + 1])
-            return float(r[i] + (p[i] - level) * (r[i + 1] - r[i]) / (p[i] - p[i + 1]))
-    raise EstimationError(f"cascade probability never falls through {level} on this grid")
+        if not (below >= 0.5 or above < 0.5):
+            if math.isnan(below) or math.isnan(above):
+                raise EstimationError(f"a flagged cell between R={float(r[i])!r} and "
+                                      f"R={float(r[i + 1])!r} could hide the crossing")
+            return float(r[i] + (0.5 - p[i]) * (r[i + 1] - r[i]) / (p[i + 1] - p[i]))
+    raise EstimationError(
+        f"cascade probability never {'rises' if rising else 'falls'} through 0.5 on this grid"
+    )
 
 
 def fit_boundary_exponent(phis, boundary_ranges) -> float:

@@ -307,9 +307,10 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
     positions = np.asarray(points, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {positions.shape}")
-    if side <= 0:
-        raise ValueError(f"region side must be positive, got {side}")
-    if np.any(positions < 0) or np.any(positions >= side):
+    if not 0 < side < math.inf:
+        raise ValueError(f"region side must be positive and finite, got {side}")
+    # Written so that a NaN coordinate fails it too.
+    if not np.all((positions >= 0) & (positions < side)):
         raise ValueError("all coordinates must lie in [0, side)")
 
     if boundary is BoundaryMode.TORUS and radio_range > side / 2:

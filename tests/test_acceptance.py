@@ -21,8 +21,7 @@ from netwake.montecarlo import (
     ExperimentConfig,
     SweepAxis,
     SweepSpec,
-    estimate_onset_range,
-    estimate_upper_boundary,
+    estimate_crossing,
     fit_boundary_exponent,
     run_replicates,
     sweep,
@@ -61,7 +60,7 @@ def test_c2_onset_transition():
     grid = tuple(10.0 + 0.5 * i for i in range(13))  # 10 .. 16
     rows = sweep(SweepSpec(base=base, axis1=SweepAxis("R", grid)), n_jobs=N_JOBS)
     p = {row.axis1_value: row.stats.p_global for row in rows}
-    onset = estimate_onset_range(grid, [p[r] for r in grid])
+    onset = estimate_crossing(grid, [p[r] for r in grid], rising=True)
     ok = p[11.0] < 0.1 and p[14.0] > 0.9 and abs(onset - 12.5) <= 1.0
     report(2, ok, f"p(R=11)={p[11.0]:.3f} (<0.1), p(R=14)={p[14.0]:.3f} (>0.9), "
                   f"onset R={onset:.2f} (12.5 +- 1.0)")
@@ -94,7 +93,7 @@ def test_c4_upper_boundary_scaling():
                                 n_runs=N_RUNS, master_seed=404)
         rows = sweep(SweepSpec(base=base, axis1=SweepAxis("R", grid)), n_jobs=N_JOBS)
         ps = [row.stats.p_global for row in rows]
-        boundaries.append(estimate_upper_boundary(grid, ps))
+        boundaries.append(estimate_crossing(grid, ps, rising=False))
     slope = fit_boundary_exponent(list(grids), boundaries)
     detail = ", ".join(f"R_c({phi})={rc:.1f}" for phi, rc in zip(grids, boundaries))
     report(4, abs(slope - (-0.5)) <= 0.2, f"{detail}, slope {slope:.3f} (-0.5 +- 0.2)")

@@ -206,6 +206,12 @@ class TestSweepBlock:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_nan_in_grid_names_the_axis(self):
+        text = "phi=0.05\nR=12\nsweep {\n axis1 = R\n values1 = 12, nan, 11\n}\n"
+        with pytest.raises(ConfigError, match="strictly increasing") as err:
+            parse_config(text)
+        assert err.value.key == "axis1" and err.value.line == 4
+
     def test_fractional_node_counts_rejected(self):
         text = "phi=0.05\nR=12\nsweep {\n axis1 = n_nodes\n values1 = 399.5, 400.7\n}\n"
         with pytest.raises(ConfigError) as err:

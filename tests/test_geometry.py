@@ -36,7 +36,8 @@ class TestSamplePoints:
         b = sample_points(50, 10.0, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("n,side", [(0, 1.0), (-2, 1.0), (5, 0.0), (5, -1.0)])
+    @pytest.mark.parametrize("n,side", [(0, 1.0), (-2, 1.0), (5, 0.0), (5, -1.0),
+                                        (5, math.inf), (5, math.nan)])
     def test_invalid_parameters(self, n, side, rng):
         with pytest.raises(ValueError):
             sample_points(n, side, rng)

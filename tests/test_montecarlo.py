@@ -13,8 +13,7 @@ from netwake.montecarlo import (
     SweepAxis,
     SweepSpec,
     cell_config,
-    estimate_onset_range,
-    estimate_upper_boundary,
+    estimate_crossing,
     fit_boundary_exponent,
     replicate_rng,
     run_replicates,
@@ -167,6 +166,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepAxis("R", (2.0, 1.0))
 
+    @pytest.mark.parametrize("values", [(12.0, math.nan, 11.0), (math.nan, 1.0), (1.0, math.nan)])
+    def test_axis_with_a_nan_is_not_increasing(self, values):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepAxis("R", values)
+
+    def test_infinite_cutoff_is_a_grid_value(self):
+        assert SweepAxis("d_c", (100.0, math.inf)).values[-1] == math.inf
+
     def test_dc_sweep_requires_cutoff_scheme(self):
         spec = SweepSpec(base=small_cfg(n_runs=2), axis1=SweepAxis("d_c", (10.0, 20.0)))
         rows = sweep(spec)
@@ -260,51 +267,83 @@ class TestSharedPool:
         assert multiprocessing.active_children() == []
 
 
+def _mirrored(r_values, p_values):
+    """The grid reflected about its midpoint: a rising crossing at r becomes
+    a falling one at r_first + r_last - r, and the first becomes the last."""
+    span = r_values[0] + r_values[-1]
+    return [span - r for r in reversed(r_values)], list(reversed(p_values)), span
+
+
 class TestCrossings:
     def test_interpolated_rising_crossing(self):
         rs = [10, 11, 12, 13, 14]
         ps = [0.0, 0.1, 0.3, 0.7, 0.9]
         # Crosses 0.5 between 12 and 13: 12 + 0.2/0.4 = 12.5.
-        assert estimate_onset_range(rs, ps) == pytest.approx(12.5)
+        assert estimate_crossing(rs, ps, rising=True) == pytest.approx(12.5)
 
     def test_step_function_within_grid_spacing(self):
         rs = [11, 12, 13, 14]
         ps = [0.0, 0.0, 1.0, 1.0]
-        assert abs(estimate_onset_range(rs, ps) - 13.0) <= 1.0
-
-    def test_flat_zero_raises(self):
-        with pytest.raises(EstimationError):
-            estimate_onset_range([10, 12, 14], [0.0, 0.0, 0.0])
+        assert abs(estimate_crossing(rs, ps, rising=True) - 13.0) <= 1.0
 
     def test_descending_crossing(self):
         rs = [20, 22, 24, 26]
         ps = [0.9, 0.8, 0.2, 0.0]
-        assert estimate_upper_boundary(rs, ps) == pytest.approx(23.0)
+        assert estimate_crossing(rs, ps, rising=False) == pytest.approx(23.0)
 
     def test_descending_uses_last_crossing(self):
         rs = [10, 12, 14, 16]
         ps = [0.6, 0.4, 0.6, 0.0]
-        assert estimate_upper_boundary(rs, ps) == pytest.approx(14.0 + 2 * 0.1 / 0.6)
+        assert estimate_crossing(rs, ps, rising=False) == pytest.approx(14.0 + 2 * 0.1 / 0.6)
 
-    def test_never_falls_raises(self):
-        with pytest.raises(EstimationError):
-            estimate_upper_boundary([10, 12], [0.8, 0.9])
+    # Each case is written for a rising crossing (a string: the message of
+    # the EstimationError it raises); the falling run reads the mirrored
+    # grid, so both directions check the same rule.
+    @pytest.mark.parametrize("rising", [True, False])
+    @pytest.mark.parametrize("rs, ps, want", [
+        ([10, 11, 12, 13], [0.2, 0.6, 0.4, 0.8], 10.75),  # the first rise, not a later one
+        ([10, 11, 12], [0.5, 0.5, 0.9], "never"),  # already at 0.5: no rise through it
+        # A flagged cell that could hide an earlier rise...
+        ([10, 11, 12, 13, 14], [0.1, math.nan, 0.9, 0.2, 0.7], "flagged cell"),
+        ([10, 11, 12, 13], [math.nan, 0.8, 0.2, 0.9], "flagged cell"),
+        # ...but one after the rise, or whose neighbor rules a rise out, hides nothing.
+        ([10, 11, 12], [0.1, 0.9, math.nan], 10.5),
+        ([10, 11, 12], [math.nan, 0.1, 0.9], 11.5),
+    ])
+    def test_crossing_is_mirror_symmetric(self, rs, ps, want, rising):
+        if not rising:
+            rs, ps, span = _mirrored(rs, ps)
+            want = want if isinstance(want, str) else span - want
+        if isinstance(want, str):
+            with pytest.raises(EstimationError, match=want):
+                estimate_crossing(rs, ps, rising)
+        else:
+            assert estimate_crossing(rs, ps, rising) == pytest.approx(want)
 
-    def test_flagged_cell_that_could_hide_an_earlier_rise_raises(self):
-        nan = float("nan")
-        with pytest.raises(EstimationError):
-            estimate_onset_range([10, 11, 12, 13, 14], [0.1, nan, 0.9, 0.2, 0.7])
-        # After the first rise, or where its neighbor rules a rise out, a
-        # flagged cell hides nothing.
-        assert estimate_onset_range([10, 11, 12], [0.1, 0.9, nan]) == pytest.approx(10.5)
-        assert estimate_onset_range([10, 11, 12], [nan, 0.1, 0.9]) == pytest.approx(11.5)
+    def test_flagged_cell_error_names_the_bracketing_ranges(self):
+        with pytest.raises(EstimationError, match=r"between R=10\.0 and R=11\.0 could hide"):
+            estimate_crossing([10, 11, 12], [0.1, math.nan, 0.9], rising=True)
 
-    def test_flagged_cell_that_could_hide_a_later_fall_raises(self):
-        nan = float("nan")
-        with pytest.raises(EstimationError):
-            estimate_upper_boundary([10, 11, 12, 13], [0.9, 0.2, 0.8, nan])
-        assert estimate_upper_boundary([10, 11, 12], [nan, 0.9, 0.1]) == pytest.approx(11.5)
-        assert estimate_upper_boundary([10, 11, 12], [0.9, 0.1, nan]) == pytest.approx(10.5)
+    @pytest.mark.parametrize("rising, rs, ps", [
+        (True, [10, 12, 14], [0.0, 0.0, 0.0]),
+        (False, [10, 12], [0.8, 0.9]),
+        (True, [10], [0.9]),
+        (False, [], []),
+    ])
+    def test_no_crossing_raises(self, rising, rs, ps):
+        with pytest.raises(EstimationError, match="rises" if rising else "falls"):
+            estimate_crossing(rs, ps, rising)
+
+    @pytest.mark.parametrize("rising", [True, False])
+    @pytest.mark.parametrize("rs, ps", [
+        ([10, 11, 12], [0.1, 0.9]),
+        ([10, 11], [0.1, 0.9, 0.2]),
+        ([[10, 11]], [[0.1, 0.9]]),
+        (10.0, 0.9),
+    ])
+    def test_grids_that_are_not_one_length_or_1d_raise(self, rs, ps, rising):
+        with pytest.raises(ValueError):
+            estimate_crossing(rs, ps, rising)
 
 
 class TestBoundaryFit:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -108,7 +109,9 @@ class TestBuildRgg:
 
     @pytest.mark.parametrize("boundary", [TORUS, PLANAR])
     # R = 60, 50, 100/3 and 30 give grids of 1, 2, 2 and 3 cells per axis;
-    # 50 and 10 divide the side exactly.
+    # 50 and 10 divide the side exactly. R = 60 on the torus warns about
+    # wrap ambiguity, which test_wrap_ambiguity_warns checks.
+    @pytest.mark.filterwarnings("ignore:radio range .* exceeds half the region side:RuntimeWarning")
     @pytest.mark.parametrize("n,radio", [(80, 18.0), (300, 7.0), (500, 4.0), (500, 40.0), (80, 60.0),
                                          (80, 50.0), (80, 100 / 3), (80, 30.0), (300, 10.0)])
     def test_matches_brute_force(self, boundary, n, radio, rng):
@@ -170,9 +173,16 @@ class TestBuildRgg:
         with pytest.warns(RuntimeWarning):
             build_rgg(pts, 6.0, 10.0, TORUS)
 
-    def test_rejects_out_of_region_points(self):
-        with pytest.raises(ValueError):
-            build_rgg(np.array([[0.0, 11.0]]), 1.0, 10.0, TORUS)
+    @pytest.mark.parametrize("point", [(0.0, 11.0), (-1.0, 5.0), (5.0, 10.0), (math.nan, 5.0),
+                                       (5.0, math.inf)])
+    def test_rejects_out_of_region_points(self, point):
+        with pytest.raises(ValueError, match=r"must lie in \[0, side\)"):
+            build_rgg(np.array([[1.0, 1.0], point]), 1.0, 10.0, TORUS)
+
+    @pytest.mark.parametrize("side", [0.0, -10.0, math.inf, math.nan])
+    def test_rejects_a_side_that_is_not_positive_and_finite(self, side):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_rgg(np.array([[1.0, 1.0]]), 1.0, side, PLANAR)
 
     def test_neighbor_lists_sorted(self, rng):
         net = build_rgg(sample_points(300, 100.0, rng), 10.0, 100.0, TORUS)
