@@ -201,14 +201,10 @@ def _step(net: Network, state: CascadeState, phi: float, rank: np.ndarray | None
         if rank is None:
             break
         source_rank = np.repeat(rank[newly], sizes)
-        later = np.sort(targets[(activation_time[targets] == NEVER) & (rank[targets] > source_rank)])
-        # Each run of equal nodes in ``later`` is one candidate and its hits.
-        first = np.empty(later.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(later[1:], later[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        candidates = later[starts]
-        visible[candidates] += np.diff(np.append(starts, later.size))
+        later = targets[(activation_time[targets] == NEVER) & (rank[targets] > source_rank)]
+        # Each distinct node in ``later`` is one candidate, hit once per occurrence.
+        candidates, hits = np.unique(later, return_counts=True)
+        visible[candidates] += hits
     counts = counts + np.bincount(np.concatenate(reached), minlength=net.n_nodes)
     return CascadeState(activation_time=activation_time, t=t, newly_activated=np.sort(np.concatenate(rounds)),
                         active_neighbor_counts=counts)

@@ -9,6 +9,7 @@ per R of distance. Idle listening and computation are excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,11 @@ class EnergyModel:
     radio_range: float
 
     def __post_init__(self):
-        if self.coefficient <= 0:
-            raise ValueError(f"coefficient must be positive, got {self.coefficient}")
-        if self.radio_range <= 0:
-            raise ValueError(f"radio range must be positive, got {self.radio_range}")
+        # Written so that a NaN fails these too.
+        if not 0 < self.coefficient < math.inf:
+            raise ValueError(f"coefficient must be positive and finite, got {self.coefficient}")
+        if not 0 < self.radio_range < math.inf:
+            raise ValueError(f"radio range must be positive and finite, got {self.radio_range}")
 
 
 @dataclass
@@ -51,8 +53,8 @@ def local_broadcast_energy(model: EnergyModel) -> float:
 def long_range_energy(model: EnergyModel, d: float | np.ndarray) -> float | np.ndarray:
     """Cost of a long-range multi-hop transmission over each distance d: c * R * d."""
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError(f"link length must be nonnegative, got {d.min()}")
+    if not np.all(d >= 0):
+        raise ValueError(f"link length must be nonnegative, got {d[~(d >= 0)].flat[0]}")
     return model.coefficient * model.radio_range * d
 
 
@@ -62,12 +64,12 @@ def predicted_energy(n_nodes: int, model: EnergyModel, p_r: float, d_bar: float)
     Approximates a full cascade (every node broadcasts, every long link
     fires once). d_bar is ignored when p_r is 0.
     """
-    if p_r < 0:
+    if not p_r >= 0:
         raise ValueError(f"link density p_r must be nonnegative, got {p_r}")
     if p_r == 0:
         correction = 0.0
     else:
-        if d_bar < 0:
+        if not d_bar >= 0:
             raise ValueError(f"mean link length must be nonnegative, got {d_bar}")
         correction = p_r * d_bar / model.radio_range
     return n_nodes * local_broadcast_energy(model) * (1.0 + correction)
@@ -85,17 +87,11 @@ def account_cascade(net: Network, outcome: CascadeOutcome, model: EnergyModel) -
     m = int(activated.sum())
     e_local = m * local_broadcast_energy(model)
 
-    if net.n_long_edges:
-        used = activated[net.long_u] | activated[net.long_v]
-        n_used = int(used.sum())
-        e_long = float(long_range_energy(model, net.long_length[used]).sum())
-        d_bar = float(net.long_length.mean())
-        p_r = net.n_long_edges / net.n_nodes
-    else:
-        n_used = 0
-        e_long = 0.0
-        d_bar = 0.0
-        p_r = 0.0
+    used = activated[net.long_u] | activated[net.long_v]
+    n_used = int(used.sum())
+    e_long = float(long_range_energy(model, net.long_length[used]).sum())
+    d_bar = float(net.long_length.mean()) if net.n_long_edges else 0.0
+    p_r = net.n_long_edges / net.n_nodes
 
     return EnergyReport(
         n_local_broadcasts=m,

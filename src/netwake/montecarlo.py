@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -152,20 +153,12 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _apply_parameter(cfg: ExperimentConfig, name: str, value: float) -> ExperimentConfig:
-    if name == "phi":
-        return replace(cfg, phi=float(value))
-    if name == "R":
-        return replace(cfg, radio_range=float(value))
+    # ``SweepAxis`` admits only SWEEPABLE names.
+    if name in ("p_r", "d_c", "delta"):
+        return replace(cfg, scheme=replace(cfg.scheme, **{name: float(value)}))
     if name == "n_nodes":
         return replace(cfg, n_nodes=int(value))
-    scheme = cfg.scheme
-    if name == "p_r":
-        return replace(cfg, scheme=replace(scheme, p_r=float(value)))
-    if name == "d_c":
-        return replace(cfg, scheme=replace(scheme, d_c=float(value)))
-    if name == "delta":
-        return replace(cfg, scheme=replace(scheme, delta=float(value)))
-    raise ValueError(f"unknown sweep parameter {name!r}")
+    return replace(cfg, **{"phi" if name == "phi" else "radio_range": float(value)})
 
 
 def cell_config(base: ExperimentConfig, overrides: dict[str, float]) -> ExperimentConfig:
@@ -242,10 +235,6 @@ def _summarize(cfg: ExperimentConfig, index: int) -> _Summary:
     )
 
 
-def _run_chunk(cfg: ExperimentConfig, start: int, stop: int) -> list[_Summary]:
-    return [_summarize(cfg, i) for i in range(start, stop)]
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
@@ -256,25 +245,22 @@ def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1,
                    pool: ProcessPoolExecutor | None = None) -> ReplicateStats:
     """Run cfg.n_runs independent replicates and aggregate.
 
-    With n_jobs > 1 the replicates are split into min(n_jobs, n_runs)
-    contiguous chunks, one task each, sent to ``pool`` when given (it
-    should have that many workers) or else to a pool started and joined
-    for this call. Results are identical for any n_jobs: replicate i
-    always uses the stream derived from (master_seed, i), and aggregation
-    is over the ordered result list.
+    With n_jobs > 1 ``Executor.map`` sends the replicates in contiguous
+    chunks of ceil(n_runs / workers), at most one per worker, where
+    workers = min(n_jobs, n_runs): to ``pool`` when given (it should have
+    that many workers) or else to a pool started and joined for this call.
+    Results are identical for any n_jobs: replicate i always uses the
+    stream derived from (master_seed, i), and aggregation is over the
+    ordered result list.
     """
     n = cfg.n_runs
-    if n_jobs > 1 and n > 1:
-        workers = min(n_jobs, n)
-        chunk = math.ceil(n / workers)
-        bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with (ProcessPoolExecutor(max_workers=workers) if pool is None
-              else contextlib.nullcontext(pool)) as executor:
-            chunks = list(executor.map(_run_chunk, *zip(*[(cfg, a, b) for a, b in bounds])))
-        results = [r for part in chunks for r in part]
-    else:
-        results = _run_chunk(cfg, 0, n)
-    return _aggregate(results)
+    workers = min(n_jobs, n)
+    if workers < 2:
+        return _aggregate([_summarize(cfg, i) for i in range(n)])
+    with (ProcessPoolExecutor(max_workers=workers) if pool is None
+          else contextlib.nullcontext(pool)) as executor:
+        return _aggregate(list(executor.map(_summarize, itertools.repeat(cfg, n), range(n),
+                                            chunksize=math.ceil(n / workers))))
 
 
 def _aggregate(results: list[_Summary]) -> ReplicateStats:
@@ -330,24 +316,16 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     ``run_replicates`` call, and the pool is joined before this returns
     or raises.
     """
-    cells: list[dict[str, float]] = []
-    for v1 in spec.axis1.values:
-        if spec.axis2 is None:
-            cells.append({spec.axis1.name: v1})
-        else:
-            for v2 in spec.axis2.values:
-                cells.append({spec.axis1.name: v1, spec.axis2.name: v2})
-
+    axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
     rows: list[SweepRow] = []
     workers = min(n_jobs, spec.base.n_runs)  # n_runs is not sweepable: every cell has it
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        for overrides in cells:
-            v1 = overrides[spec.axis1.name]
-            v2 = overrides[spec.axis2.name] if spec.axis2 is not None else None
+        for values in itertools.product(*(axis.values for axis in axes)):
+            v1, v2 = values if spec.axis2 is not None else (*values, None)
             stats = error = None
             try:
-                cfg = cell_config(spec.base, overrides)
+                cfg = cell_config(spec.base, {axis.name: v for axis, v in zip(axes, values)})
             except ValueError as exc:
                 error = str(exc)
             else:
@@ -398,6 +376,8 @@ def fit_boundary_exponent(phis, boundary_ranges) -> float:
     """
     phis = np.asarray(phis, dtype=float)
     ranges = np.asarray(boundary_ranges, dtype=float)
+    if phis.ndim != 1 or phis.shape != ranges.shape:
+        raise ValueError(f"need two 1-d grids of one length, got shapes {phis.shape} and {ranges.shape}")
     if phis.size < 3:
         raise EstimationError(f"need at least 3 boundary points to fit, got {phis.size}")
     for name, values in (("threshold", phis), ("boundary range", ranges)):

@@ -309,6 +309,8 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
         raise ValueError(f"points must have shape (n, 2), got {positions.shape}")
     if not 0 < side < math.inf:
         raise ValueError(f"region side must be positive and finite, got {side}")
+    if not 0 <= radio_range < math.inf:
+        raise ValueError(f"radio range must be nonnegative and finite, got {radio_range}")
     # Written so that a NaN coordinate fails it too.
     if not np.all((positions >= 0) & (positions < side)):
         raise ValueError("all coordinates must lie in [0, side)")

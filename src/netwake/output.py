@@ -22,10 +22,13 @@ from .geometry import pair_distances
 from .montecarlo import SweepRow
 from .network import Network
 
-SWEEP_HEADER = [
-    "axis1", "axis2", "p_global", "p_global_se", "mean_time", "mean_time_se",
+#: The ``ReplicateStats`` fields a sweep table holds, in column order.
+_STAT_COLUMNS = (
+    "p_global", "p_global_se", "mean_time", "mean_time_se",
     "mean_energy", "mean_energy_se", "n_success", "n_runs",
-]
+)
+
+SWEEP_HEADER = ["axis1", "axis2", *_STAT_COLUMNS]
 
 TRANSITION_HEADER = ["phi", "r_onset", "r_upper"]
 
@@ -83,22 +86,11 @@ def emit_sweep_csv(rows: list[SweepRow], manifest: RunManifest, destination: str
     if not rows:
         raise ValueError("refusing to emit an empty sweep table")
 
-    def cells():
-        for row in rows:
-            s = row.stats
-            if s is None:
-                yield [row.axis1_value, row.axis2_value, None, None, None, None, None, None, None, None]
-            else:
-                yield [
-                    row.axis1_value, row.axis2_value,
-                    s.p_global, s.p_global_se,
-                    s.mean_time, s.mean_time_se,
-                    s.mean_energy, s.mean_energy_se,
-                    s.n_success, s.n_runs,
-                ]
-
+    cells = ([row.axis1_value, row.axis2_value,
+              *(None if row.stats is None else getattr(row.stats, name) for name in _STAT_COLUMNS)]
+             for row in rows)
     with open(destination, "w", newline="") as fh:
-        _write_rows(fh, manifest, SWEEP_HEADER, cells())
+        _write_rows(fh, manifest, SWEEP_HEADER, cells)
 
 
 def emit_transition_csv(rows: list[tuple], manifest: RunManifest, destination: str) -> None:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -47,15 +48,17 @@ class TestUnitCosts:
         model = EnergyModel(1.3, 12.0)
         assert long_range_energy(model, 12.0) == pytest.approx(local_broadcast_energy(model))
 
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            long_range_energy(EnergyModel(1.0, 16.0), -1.0)
+    @pytest.mark.parametrize("length", [-1.0, math.nan, [1.0, math.nan]])
+    def test_negative_length_rejected(self, length):
+        with pytest.raises(ValueError, match="nonnegative"):
+            long_range_energy(EnergyModel(1.0, 16.0), length)
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            EnergyModel(0.0, 16.0)
-        with pytest.raises(ValueError):
-            EnergyModel(1.0, 0.0)
+    @pytest.mark.parametrize("coefficient, radio", [
+        (0.0, 16.0), (1.0, 0.0), (math.nan, 16.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0),
+    ])
+    def test_model_validation(self, coefficient, radio):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EnergyModel(coefficient, radio)
 
 
 class TestPredictedTotal:
@@ -74,11 +77,10 @@ class TestPredictedTotal:
         lift2 = predicted_energy(1000, model, 0.02, 400.0) - base
         assert lift2 == pytest.approx(2 * lift1)
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            predicted_energy(100, EnergyModel(1.0, 14.0), -0.01, 100.0)
-        with pytest.raises(ValueError):
-            predicted_energy(100, EnergyModel(1.0, 14.0), 0.01, -1.0)
+    @pytest.mark.parametrize("p_r, d_bar", [(-0.01, 100.0), (0.01, -1.0), (math.nan, 10.0), (0.01, math.nan)])
+    def test_negative_inputs_rejected(self, p_r, d_bar):
+        with pytest.raises(ValueError, match="nonnegative"):
+            predicted_energy(100, EnergyModel(1.0, 14.0), p_r, d_bar)
 
 
 class TestAccounting:

@@ -367,6 +367,15 @@ class TestBoundaryFit:
         with pytest.raises(EstimationError):
             fit_boundary_exponent(phis, ranges)
 
+    @pytest.mark.parametrize("phis, ranges", [
+        ([0.05, 0.1, 0.2], [30.0, 20.0]),
+        ([0.05, 0.1], [30.0, 20.0, 15.0]),
+        ([[0.05, 0.1, 0.2]], [[30.0, 20.0, 15.0]]),
+    ])
+    def test_grids_that_are_not_one_length_or_1d_raise(self, phis, ranges):
+        with pytest.raises(ValueError, match="1-d grids of one length"):
+            fit_boundary_exponent(phis, ranges)
+
 
 class TestCascadeWindowPhysics:
     def test_probability_rises_then_declines_with_range(self):

@@ -184,6 +184,11 @@ class TestBuildRgg:
         with pytest.raises(ValueError, match="positive and finite"):
             build_rgg(np.array([[1.0, 1.0]]), 1.0, side, PLANAR)
 
+    @pytest.mark.parametrize("radio", [math.nan, -1.0, math.inf])
+    def test_rejects_a_range_that_is_not_nonnegative_and_finite(self, radio, rng):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            build_rgg(sample_points(200, 100.0, rng), radio, 100.0, PLANAR)
+
     def test_neighbor_lists_sorted(self, rng):
         net = build_rgg(sample_points(300, 100.0, rng), 10.0, 100.0, TORUS)
         for u in range(net.n_nodes):

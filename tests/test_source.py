@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import netwake
@@ -23,3 +24,19 @@ def test_public_names_resolve_once():
     names = netwake.__all__
     assert [name for name in names if not hasattr(netwake, name)] == []
     assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # The README promises a numpy-only package.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert found == [], f"imports outside numpy and the standard library: {found}"
