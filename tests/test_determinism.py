@@ -5,8 +5,10 @@ line. The sweep digests were computed at commit 22c3099, before the
 cell-slot pair enumeration, the distance screen and the long-link merge
 changed how networks are built; the transition digest at commit 1d78b53,
 before the onset and upper-boundary estimators were folded into one
-crossing routine. None may move unless a change is meant to alter
-outputs (say so in CHANGES.md when it is).
+crossing routine; the ``run`` digests (summary, long-link lengths,
+``stalled`` and snapshots) at commit de6b5f4, before long-link lengths
+were measured only for the placed links. None may move unless a change
+is meant to alter outputs (say so in CHANGES.md when it is).
 """
 
 import hashlib
@@ -87,4 +89,60 @@ def test_sweep_csv_digest_is_pinned(tmp_path, name, threads):
     assert main([command, "--config", str(cfg), "--out", str(out), "--threads", threads]) == EXIT_OK
     data = b"".join(line for line in out.read_bytes().splitlines(keepends=True)
                     if not line.startswith(b"# duration-s:"))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Uniform links on the plane; the cascade reaches a fixed point.
+RUN_UNIFORM = """
+phi = 0.12
+R = 16
+n_nodes = 400
+L = 200
+boundary = planar
+master_seed = 23
+
+scheme {
+    kind = uniform
+    p_r = 0.05
+}
+"""
+
+# Power-law links, asynchronous schedule; the step budget runs out while
+# the cascade still grows, so the run is flagged stalled.
+RUN_STALLED = """
+phi = 0.12
+R = 16
+n_nodes = 400
+L = 200
+schedule = asynchronous
+max_steps = 4
+master_seed = 29
+
+scheme {
+    kind = powerlaw
+    p_r = 0.05
+    delta = 2
+}
+"""
+
+RUN_DIGESTS = {
+    "uniform": (RUN_UNIFORM, "3fd3cd9af73f0e557575a61e17e83439349af900e670340235f9c3bae2dcd5c9"),
+    "stalled": (RUN_STALLED, "a9e8e8a3d213a449c34a22bd56757f8fa6e65dd777dcf781ed7829c505ba7ebd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_run_output_digest_is_pinned(tmp_path, capsys, name):
+    """Digest of the run summary (without the ``wrote`` lines) followed by
+    the snapshots at steps 0, 3 and 40 (without their duration lines)."""
+    text, digest = RUN_DIGESTS[name]
+    cfg = tmp_path / f"{name}.conf"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "snap.csv"),
+                 "--snapshots", "0,3,40"]) == EXIT_OK
+    out = capsys.readouterr().out
+    data = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("wrote ")).encode()
+    for step in (0, 3, 40):
+        data += b"".join(line for line in (tmp_path / f"snap_t{step}.csv").read_bytes().splitlines(keepends=True)
+                         if not line.startswith(b"# duration-s:"))
     assert hashlib.sha256(data).hexdigest() == digest
