@@ -35,7 +35,7 @@ from .errors import (
     NetwakeError,
     SeedingError,
 )
-from .geometry import BoundaryMode, expected_degree, pair_distances, sample_points
+from .geometry import BoundaryMode, pair_distances, sample_points
 from .montecarlo import (
     ExperimentConfig,
     Replicate,
@@ -56,7 +56,7 @@ from .smallworld import LinkScheme, SchemeKind, add_long_range_links
 
 __all__ = [
     "__version__",
-    "BoundaryMode", "pair_distances", "sample_points", "expected_degree",
+    "BoundaryMode", "pair_distances", "sample_points",
     "Network", "build_rgg",
     "LinkScheme", "SchemeKind", "add_long_range_links",
     "CascadeParams", "CascadeOutcome", "Schedule", "SeedRule", "SeedSpec",

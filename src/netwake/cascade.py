@@ -50,7 +50,7 @@ class SeedRule(Enum):
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Which nodes get switched on at t=0."""
+    """Which nodes get switched on at t=0; explicit ids are integers (numpy ones included)."""
 
     rule: SeedRule
     nodes: tuple[int, ...] = ()
@@ -60,6 +60,10 @@ class SeedSpec:
             raise ValueError("explicit seed spec needs at least one node id")
         if self.rule is not SeedRule.EXPLICIT and self.nodes:
             raise ValueError(f"{self.rule.value} seed spec takes no node ids")
+        for v in self.nodes:
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"seed node ids must be integers, got {v!r}")
+        object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
 
     @classmethod
     def single(cls) -> "SeedSpec":
@@ -71,7 +75,7 @@ class SeedSpec:
 
     @classmethod
     def explicit(cls, nodes) -> "SeedSpec":
-        return cls(SeedRule.EXPLICIT, tuple(int(v) for v in nodes))
+        return cls(SeedRule.EXPLICIT, tuple(nodes))
 
 
 @dataclass(frozen=True)
@@ -248,19 +252,14 @@ def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -
     seeds = select_seed(net, params.seed_spec, rng)
 
     state = initial_state(net, seeds)
-    n_active = int(np.count_nonzero(state.active))
-    stalled = True
+    n_active = seeds.size  # select_seed returns distinct ids
     while state.t < max_steps:
         if params.schedule is Schedule.SYNCHRONOUS:
             state = step_synchronous(net, state, params.phi)
         else:
             state = step_asynchronous(net, state, params.phi, rng)
-        if state.newly_activated.size == 0:
-            stalled = False
-            break
         n_active += state.newly_activated.size
-        if n_active == n:
-            stalled = False
+        if state.newly_activated.size == 0 or n_active == n:
             break
 
     final_fraction = n_active / n
@@ -268,7 +267,8 @@ def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -
         final_fraction=final_fraction,
         time=int(state.activation_time.max()),
         is_global=final_fraction >= params.cutoff_fraction,
-        stalled=stalled,
+        # The budget ran out on a step that still activated nodes.
+        stalled=bool(state.newly_activated.size) and n_active < n,
         activation_time=state.activation_time,
         seed=seeds,
     )

@@ -41,26 +41,12 @@ from .geometry import BoundaryMode
 from .montecarlo import ExperimentConfig, SweepAxis, SweepSpec
 from .smallworld import LinkScheme, SchemeKind
 
-_TOP_KEYS = {
-    "phi", "R", "n_nodes", "L", "boundary", "schedule", "seed_rule", "seed_nodes",
-    "cutoff_fraction", "max_steps", "n_runs", "master_seed", "c",
-    "scheme", "p_r", "d_c", "delta",
-}
-_SCHEME_KEYS = {"kind", "p_r", "d_c", "delta"}
-_SWEEP_KEYS = {"axis1", "values1", "axis2", "values2"}
-_BLOCKS = {"scheme": _SCHEME_KEYS, "sweep": _SWEEP_KEYS}
 
-
-class _Doc:
-    """Raw entries: (value text, line number) per key, per scope."""
-
-    def __init__(self):
-        self.top: dict[str, tuple[str, int]] = {}
-        self.blocks: dict[str, dict[str, tuple[str, int]]] = {}
-
-
-def _tokenize(text: str) -> _Doc:
-    doc = _Doc()
+def _tokenize(text: str) -> tuple[dict, dict]:
+    """Raw entries, (value text, line number) per key: the top-level ones,
+    and those of each block by block name."""
+    top: dict[str, tuple[str, int]] = {}
+    blocks: dict[str, dict[str, tuple[str, int]]] = {}
     scope: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,10 +58,10 @@ def _tokenize(text: str) -> _Doc:
                 raise ConfigError("nested blocks are not supported", key=name, line=lineno)
             if name not in _BLOCKS:
                 raise ConfigError(f"unknown block {name!r}", key=name, line=lineno)
-            if name in doc.blocks:
+            if name in blocks:
                 raise ConfigError(f"duplicate block {name!r}", key=name, line=lineno)
             scope = name
-            doc.blocks[name] = {}
+            blocks[name] = {}
             continue
         if line == "}":
             if scope is None:
@@ -88,7 +74,7 @@ def _tokenize(text: str) -> _Doc:
         key, value = (part.strip() for part in line.split(sep, 1))
         if not key or not value:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        target = doc.top if scope is None else doc.blocks[scope]
+        target = top if scope is None else blocks[scope]
         allowed = _TOP_KEYS if scope is None else _BLOCKS[scope]
         if key not in allowed:
             where = f"in block {scope!r}" if scope else "at top level"
@@ -98,7 +84,7 @@ def _tokenize(text: str) -> _Doc:
         target[key] = (value, lineno)
     if scope is not None:
         raise ConfigError(f"block {scope!r} is never closed", key=scope)
-    return doc
+    return top, blocks
 
 
 def _convert(entry: tuple[str, int], key: str, conv, what: str):
@@ -165,20 +151,24 @@ _CASCADE_FIELDS = {
 }
 _SCHEME_FIELDS = {key: (key, float, "a number") for key in ("p_r", "delta", "d_c")}
 
+# Every key a document may hold, at top level and per block.
+_TOP_KEYS = {"phi", "R", "seed_rule", "seed_nodes", "scheme",
+             *_EXPERIMENT_FIELDS, *_CASCADE_FIELDS, *_SCHEME_FIELDS}
+_BLOCKS = {"scheme": {"kind", *_SCHEME_FIELDS}, "sweep": {"axis1", "values1", "axis2", "values2"}}
+
 # The parameter each scheme kind cannot do without. It is set together
 # with the kind, so a missing one is blamed on the kind and a bad one on
 # its own key.
 _KIND_PARAMETER = {SchemeKind.POWER_LAW: "delta", SchemeKind.CUTOFF: "d_c"}
 
 
-def _parse_scheme(doc: _Doc) -> LinkScheme:
-    flat_keys = {k for k in ("scheme", "p_r", "d_c", "delta") if k in doc.top}
-    block = doc.blocks.get("scheme")
+def _parse_scheme(top: dict[str, tuple[str, int]], block: dict[str, tuple[str, int]] | None) -> LinkScheme:
+    flat_keys = {k for k in ("scheme", *_SCHEME_FIELDS) if k in top}
     if block is not None and flat_keys:
         key = sorted(flat_keys)[0]
         raise ConfigError(
             "scheme given both as a block and as flat keys",
-            key=key, line=doc.top[key][1],
+            key=key, line=top[key][1],
         )
 
     if block is not None:
@@ -187,8 +177,8 @@ def _parse_scheme(doc: _Doc) -> LinkScheme:
         if kind_entry is None:
             raise ConfigError("scheme block needs a 'kind'", key="kind")
     elif flat_keys:
-        entries = {k: doc.top[k] for k in flat_keys if k != "scheme"}
-        kind_key, kind_entry = "scheme", doc.top.get("scheme")
+        entries = {k: top[k] for k in flat_keys if k != "scheme"}
+        kind_key, kind_entry = "scheme", top.get("scheme")
     else:
         return LinkScheme.none()
     kind = SchemeKind.UNIFORM
@@ -230,8 +220,7 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
     ``phi`` and ``R`` are required; every absent key keeps the default of
     the type it would set.
     """
-    doc = _tokenize(text)
-    top = doc.top
+    top, blocks = _tokenize(text)
 
     for required in ("phi", "R"):
         if required not in top:
@@ -242,11 +231,11 @@ def parse_config(text: str) -> ExperimentConfig | SweepSpec:
     cascade = _make(CascadeParams, "phi", top["phi"], phi=phi)
     cascade = _apply(cascade, top, _CASCADE_FIELDS)
     base = _make(ExperimentConfig, "R", top["R"], phi=phi, radio_range=radio_range,
-                 scheme=_parse_scheme(doc), cascade=cascade)
+                 scheme=_parse_scheme(top, blocks.get("scheme")), cascade=cascade)
     base = _apply(base, top, _EXPERIMENT_FIELDS)
     base = _apply_seed_spec(top, base)
 
-    sweep_block = doc.blocks.get("sweep")
+    sweep_block = blocks.get("sweep")
     if sweep_block is None:
         return base
 

@@ -44,12 +44,3 @@ def pair_distances(a: np.ndarray, b: np.ndarray, side: float, boundary: Boundary
     if boundary is BoundaryMode.TORUS:
         delta = np.minimum(delta, side - delta)
     return np.hypot(delta[..., 0], delta[..., 1])
-
-
-def expected_degree(density: float, radio_range: float) -> float:
-    """Mean number of neighbors of a node: density * pi * range**2."""
-    if density <= 0:
-        raise ValueError(f"density must be positive, got {density}")
-    if radio_range < 0:
-        raise ValueError(f"radio range must be nonnegative, got {radio_range}")
-    return density * math.pi * radio_range**2

@@ -56,6 +56,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_nodes", "n_runs", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_nodes < 1:
             raise ValueError(f"need at least one node, got {self.n_nodes}")
         if self.n_runs < 1:
@@ -235,10 +239,13 @@ def _summarize(cfg: ExperimentConfig, index: int) -> _Summary:
     )
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
+def _mean_se(values: list) -> tuple[float | None, float | None]:
+    """Mean and standard error of ``values``; (None, None) when there are none."""
+    if not values:
+        return None, None
+    values = np.array(values, dtype=float)
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return mean, se
+    return float(values.mean()), se
 
 
 def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1,
@@ -266,38 +273,26 @@ def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1,
 def _aggregate(results: list[_Summary]) -> ReplicateStats:
     n = len(results)
     successes = [r for r in results if r.success]
-    n_success = len(successes)
     n_seeding = sum(1 for r in results if r.infeasible == "seeding")
     n_links = sum(1 for r in results if r.infeasible == "links")
-    n_infeasible = n_seeding + n_links
-    if n_infeasible == n:
-        raise ExperimentInfeasibleError(
-            "every replicate failed before the cascade could start", n_infeasible
-        )
+    if n_seeding + n_links == n:
+        raise ExperimentInfeasibleError("every replicate failed before the cascade could start", n)
 
-    p = n_success / n
-    p_se = math.sqrt(p * (1.0 - p) / n)
-    fractions = np.array([r.final_fraction for r in results])
-    d_bars = np.array([r.d_bar for r in results if r.d_bar is not None], dtype=float)
-
-    if n_success:
-        mean_time, time_se = _mean_se(np.array([r.time for r in successes], dtype=float))
-        mean_energy, energy_se = _mean_se(np.array([r.energy for r in successes], dtype=float))
-    else:
-        mean_time = time_se = mean_energy = energy_se = None
-
+    p = len(successes) / n
+    mean_time, time_se = _mean_se([r.time for r in successes])
+    mean_energy, energy_se = _mean_se([r.energy for r in successes])
     return ReplicateStats(
         p_global=p,
-        p_global_se=p_se,
+        p_global_se=math.sqrt(p * (1.0 - p) / n),
         mean_time=mean_time,
         mean_time_se=time_se,
         mean_energy=mean_energy,
         mean_energy_se=energy_se,
-        mean_final_fraction=float(fractions.mean()),
-        mean_link_length=float(d_bars.mean()) if d_bars.size else None,
-        n_success=n_success,
+        mean_final_fraction=float(np.mean([r.final_fraction for r in results])),
+        mean_link_length=_mean_se([r.d_bar for r in results if r.d_bar is not None])[0],
+        n_success=len(successes),
         n_runs=n,
-        n_infeasible=n_infeasible,
+        n_infeasible=n_seeding + n_links,
         n_infeasible_seeding=n_seeding,
         n_infeasible_links=n_links,
         n_stalled=sum(1 for r in results if r.stalled),

@@ -191,9 +191,10 @@ class Network:
         """Network over ``positions`` whose local edges are the pairs (u[k], v[k]).
 
         Each pair joins two distinct integer ids in [0, n) and appears
-        once, in either orientation; anything else raises ValueError.
+        once, in either orientation; anything else, or a deployment that
+        ``build_rgg`` would reject, raises ValueError.
         """
-        positions = np.asarray(positions, dtype=float)
+        positions = _checked_deployment(positions, side, radio_range)
         n = positions.shape[0]
         u, v = np.asarray(u), np.asarray(v)
         for ids in (u, v):
@@ -247,10 +248,6 @@ class Network:
     def n_long_edges(self) -> int:
         return int(self.long_u.size)
 
-    @property
-    def mean_local_degree(self) -> float:
-        return 2.0 * self.n_local_edges / self.n_nodes
-
 
 def row_positions(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Insertion position of each (rows[k], cols[k]) in a CSR with sorted rows.
@@ -286,6 +283,21 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), key
 
 
+def _checked_deployment(points, side: float, radio_range: float) -> np.ndarray:
+    """``points`` as an (n, 2) float array, once the deployment is known to be valid."""
+    positions = np.asarray(points, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {positions.shape}")
+    if not 0 < side < math.inf:
+        raise ValueError(f"region side must be positive and finite, got {side}")
+    if not 0 <= radio_range < math.inf:
+        raise ValueError(f"radio range must be nonnegative and finite, got {radio_range}")
+    # Written so that a NaN coordinate fails it too.
+    if not np.all((positions >= 0) & (positions < side)):
+        raise ValueError("all coordinates must lie in [0, side)")
+    return positions
+
+
 def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: BoundaryMode) -> Network:
     """Build the random geometric network over the given positions.
 
@@ -304,17 +316,7 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
     the screen decides nothing and every candidate goes to
     ``pair_distances``.
     """
-    positions = np.asarray(points, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {positions.shape}")
-    if not 0 < side < math.inf:
-        raise ValueError(f"region side must be positive and finite, got {side}")
-    if not 0 <= radio_range < math.inf:
-        raise ValueError(f"radio range must be nonnegative and finite, got {radio_range}")
-    # Written so that a NaN coordinate fails it too.
-    if not np.all((positions >= 0) & (positions < side)):
-        raise ValueError("all coordinates must lie in [0, side)")
-
+    positions = _checked_deployment(points, side, radio_range)
     if boundary is BoundaryMode.TORUS and radio_range > side / 2:
         warnings.warn(
             f"radio range {radio_range} exceeds half the region side {side}; "

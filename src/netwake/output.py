@@ -43,12 +43,11 @@ class RunManifest:
     master_seed: int
     duration_s: float
     row_count: int
-    version: str = __version__
     extra: dict | None = None
 
     def lines(self) -> list[str]:
         items = [
-            ("netwake-version", self.version),
+            ("netwake-version", __version__),
             ("config", self.config_echo),
             ("master-seed", self.master_seed),
             (DURATION_KEY, f"{self.duration_s:.3f}"),

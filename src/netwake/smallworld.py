@@ -58,7 +58,7 @@ LinkSamplingError means that:
   underflow this count only ever confirms the capacity check.
 
 Every added link records its length under the network's own boundary
-metric.
+metric, measured once, for the placed links only.
 """
 
 from __future__ import annotations
@@ -136,9 +136,6 @@ class LinkScheme:
         return np.ones(np.shape(d))
 
 
-_Candidates = tuple[np.ndarray, np.ndarray, np.ndarray]  # u, v, distance, in draw order
-
-
 @functools.lru_cache(maxsize=1)
 def _offset_bounds(g: int, torus: bool, side: float, radio_range: float,
                    scheme: LinkScheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,8 +166,8 @@ class _CellSampler:
             )
         self.net, self.weight = net, scheme.weight
 
-    def propose(self, rng: np.random.Generator) -> _Candidates:
-        """One batch of accepted proposals."""
+    def propose(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One batch of accepted proposals (u, v), in draw order."""
         net, grid = self.net, self.grid
         mass = rng.random(_PROPOSALS) * self.cum[-1]
         # The search runs on the masses in ascending order, several times
@@ -187,7 +184,7 @@ class _CellSampler:
         v = grid.order[grid.starts[b[kept]] + slot[kept]]
         d = _distances(net, u, v)
         accept = rng.random(d.size) * self.bound[k] < self.weight(d)
-        return u[accept], v[accept], d[accept]
+        return u[accept], v[accept]
 
     def positive_pairs(self) -> Iterator[np.ndarray]:
         """Keys of every pair of positive weight, one cell offset at a time."""
@@ -217,9 +214,9 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def _place_links(net: Network, n_new: int, propose: Callable[[], _Candidates],
-                 positive_pairs: Callable[[], Iterator[np.ndarray]] | None) -> _Candidates:
-    """The first ``n_new`` free candidate pairs, in draw order.
+def _place_links(net: Network, n_new: int, propose: Callable[[], tuple[np.ndarray, np.ndarray]],
+                 positive_pairs: Callable[[], Iterator[np.ndarray]] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``n_new`` free candidate pairs (u, v), in draw order.
 
     ``positive_pairs`` lists the pairs the scheme can place; it is counted
     once, after _STALL_BATCHES batches in a row without a new link.
@@ -242,14 +239,14 @@ def _place_links(net: Network, n_new: int, propose: Callable[[], _Candidates],
     placed = []
     found = idle = 0
     while found < n_new:
-        us, vs, d = propose()
+        us, vs = propose()
         keys = _pair_keys(us, vs, n)
         cand = np.flatnonzero((us != vs) & free(keys))
         keys = keys[cand]
         _, first = np.unique(keys, return_index=True)
         first = np.sort(first)[: n_new - found]
         hits = cand[first]
-        placed.append((us[hits], vs[hits], d[hits]))
+        placed.append((us[hits], vs[hits]))
         taken = np.sort(np.concatenate([taken, keys[first]]))
         found += hits.size
         idle = 0 if hits.size else idle + 1
@@ -294,19 +291,14 @@ def add_long_range_links(net: Network, scheme: LinkScheme, rng: np.random.Genera
 
     if scheme.kind is SchemeKind.UNIFORM:
         batch = max(_BATCH_MIN, 4 * n_new)
-
-        def propose():
-            us = rng.integers(0, n, batch)
-            vs = rng.integers(0, n, batch)
-            return us, vs, _distances(net, us, vs)
-
-        new_u, new_v, new_d = _place_links(net, n_new, propose, None)
+        new_u, new_v = _place_links(net, n_new, lambda: (rng.integers(0, n, batch), rng.integers(0, n, batch)),
+                                    None)
     else:
         sampler = _CellSampler(net, scheme)
-        new_u, new_v, new_d = _place_links(net, n_new, lambda: sampler.propose(rng), sampler.positive_pairs)
+        new_u, new_v = _place_links(net, n_new, lambda: sampler.propose(rng), sampler.positive_pairs)
     return replace(
         net,
         long_u=np.concatenate([net.long_u, new_u]),
         long_v=np.concatenate([net.long_v, new_v]),
-        long_length=np.concatenate([net.long_length, new_d]),
+        long_length=np.concatenate([net.long_length, _distances(net, new_u, new_v)]),
     )

@@ -4,9 +4,9 @@ The oracles here (the scalar metric, brute-force edge sets, BFS
 components, full-rescan fixed points, the node-by-node synchronous step
 and asynchronous sweep) deliberately avoid the library's own algorithms
 so the tests check two independent routes to the same answer. The
-structural checks, the component labeling (scipy) and the snapshot
-reader serve only tests, so they live here rather than in the
-numpy-only package.
+structural checks, the component labeling (scipy), the degree formulas
+and the snapshot reader serve only tests, so they live here rather than
+in the numpy-only package.
 """
 
 from __future__ import annotations
@@ -37,6 +37,20 @@ def distance(p, q, side: float, boundary: BoundaryMode) -> float:
         dx = min(dx, side - dx)
         dy = min(dy, side - dy)
     return math.hypot(dx, dy)
+
+
+def expected_degree(density: float, radio_range: float) -> float:
+    """Mean number of neighbors of a node: density * pi * range**2."""
+    if density <= 0:
+        raise ValueError(f"density must be positive, got {density}")
+    if radio_range < 0:
+        raise ValueError(f"radio range must be nonnegative, got {radio_range}")
+    return density * math.pi * radio_range**2
+
+
+def mean_local_degree(net: Network) -> float:
+    """Mean number of local neighbors of a node: twice the local edges per node."""
+    return 2.0 * net.n_local_edges / net.n_nodes
 
 
 def network_from_edges(n: int, edges, side: float = 1.0, radio_range: float = 1.0) -> Network:

@@ -16,7 +16,7 @@ import numpy as np
 from netwake.cascade import CascadeParams, NEVER, SeedSpec, run_cascade
 from netwake.cli import main
 from netwake.energy import EnergyModel, predicted_energy
-from netwake.geometry import BoundaryMode, expected_degree, sample_points
+from netwake.geometry import BoundaryMode, sample_points
 from netwake.montecarlo import (
     ExperimentConfig,
     SweepAxis,
@@ -28,7 +28,14 @@ from netwake.montecarlo import (
 )
 from netwake.network import build_rgg
 
-from conftest import bfs_component, naive_fixed_point, network_from_edges, random_graph
+from conftest import (
+    bfs_component,
+    expected_degree,
+    mean_local_degree,
+    naive_fixed_point,
+    network_from_edges,
+    random_graph,
+)
 
 N_JOBS = os.cpu_count() or 1
 N_RUNS = 200
@@ -45,7 +52,7 @@ def test_c1_degree_range_relation():
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
         pts = sample_points(10_000, 1000.0, rng)
-        degrees.append(build_rgg(pts, 12.5, 1000.0, BoundaryMode.TORUS).mean_local_degree)
+        degrees.append(mean_local_degree(build_rgg(pts, 12.5, 1000.0, BoundaryMode.TORUS)))
     got = float(np.mean(degrees))
     want = expected_degree(0.01, 12.5)
     rel = abs(got - want) / want

@@ -109,6 +109,16 @@ class TestSelectSeed:
         with pytest.raises(ValueError):
             select_seed(net, SeedSpec.explicit([0, 7]), rng)
 
+    @pytest.mark.parametrize("ids", [[1.5, 2.7], [0.9], [1, 2.0]])
+    def test_explicit_ids_must_be_integers(self, ids):
+        # int() would truncate them: [1.5, 2.7] seeded (1, 2), [0.9] node 0.
+        with pytest.raises(ValueError, match="seed node ids must be integers"):
+            SeedSpec.explicit(ids)
+
+    def test_explicit_numpy_ids_become_ints(self):
+        spec = SeedSpec.explicit(np.array([4, 2], dtype=np.int32))
+        assert spec.nodes == (4, 2) and all(type(v) is int for v in spec.nodes)
+
     def test_triple_infeasible_when_max_degree_below_two(self, rng):
         net = network_from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(SeedingError):

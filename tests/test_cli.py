@@ -110,6 +110,13 @@ class TestSweepCommand:
         cfg = write(tmp_path, "plain.conf", FAST_BASE)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["sweep", "transition"])
+    def test_negative_threads_flag_is_a_parse_error(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "s.conf", SWEEP_DOC)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--threads=-1"]) == EXIT_PARSE
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestThreads:
     def test_zero_means_the_usable_cores(self, monkeypatch):
@@ -145,6 +152,23 @@ class TestRunCommand:
     def test_rejects_sweep_config(self, tmp_path):
         cfg = write(tmp_path, "s.conf", SWEEP_DOC)
         assert main(["run", "--config", cfg]) == EXIT_PARSE
+
+    def test_seed_flag_overrides_the_config(self, tmp_path, capsys):
+        # --seed 99 on a run config prints what master_seed = 99 prints.
+        flagged = write(tmp_path, "r.conf", FAST_BASE)
+        pinned = write(tmp_path, "p.conf", FAST_BASE.replace("master_seed = 11", "master_seed = 99"))
+        assert main(["run", "--config", flagged, "--seed", "99"]) == EXIT_OK
+        via_flag = capsys.readouterr().out
+        assert main(["run", "--config", pinned]) == EXIT_OK
+        assert capsys.readouterr().out == via_flag
+        assert main(["run", "--config", flagged]) == EXIT_OK
+        assert capsys.readouterr().out != via_flag
+
+    @pytest.mark.parametrize("command,doc", [("run", FAST_BASE), ("sweep", SWEEP_DOC)])
+    def test_negative_seed_flag_is_a_parse_error(self, tmp_path, capsys, command, doc):
+        cfg = write(tmp_path, "c.conf", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"), "--seed=-1"]) == EXIT_PARSE
+        assert "--seed: master seed must be nonnegative" in capsys.readouterr().err
 
     def test_bad_snapshot_list(self, tmp_path):
         cfg = write(tmp_path, "r.conf", FAST_BASE)
@@ -214,6 +238,13 @@ class TestTransitionCommand:
         doc = FAST_BASE + "sweep {\n axis1 = phi\n values1 = 0.1, 0.2\n}\n"
         cfg = write(tmp_path, "t.conf", doc)
         assert main(["transition", "--config", cfg]) == EXIT_PARSE
+
+    def test_axis2_other_than_phi_is_a_parse_error(self, tmp_path, capsys):
+        doc = FAST_BASE + "sweep {\n axis1 = R\n values1 = 10, 16\n axis2 = p_r\n values2 = 0, 0.01\n}\n"
+        cfg = write(tmp_path, "t.conf", doc)
+        assert main(["transition", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_PARSE
+        assert "accepts only phi as axis2" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestExitCodes:

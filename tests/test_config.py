@@ -1,6 +1,7 @@
 import pytest
 
 from netwake.cascade import Schedule, SeedRule
+from netwake.cli import EXIT_PARSE, main
 from netwake.config import describe_config, describe_sweep, parse_config
 from netwake.errors import ConfigError
 from netwake.geometry import BoundaryMode
@@ -145,6 +146,26 @@ class TestErrors:
         with pytest.raises(ConfigError) as err:
             parse_config("phi = 0.1\nR = 16\nseed_rule = explicit\nseed_nodes = 3, 999\nn_nodes = 50\n")
         assert err.value.key == "seed_nodes" and err.value.line == 4
+
+    @pytest.mark.parametrize("doc,key,line", [
+        ("phi = 0.1\nR = 16\nscheme {\nsweep {\n}\n}\n", "sweep", 4),
+        ("phi = 0.1\nR = 16\nlinks {\n}\n", "links", 3),
+        ("phi = 0.1\nR = 16\nscheme {\nkind = uniform\n}\nscheme {\n}\n", "scheme", 6),
+        ("phi = 0.1\nR = 16\n}\n", None, 3),
+        ("phi = 0.1\nR = 16\nL =\n", None, 3),
+        ("phi = 0.1\nR = 16\nsweep {\naxis1 = R\nvalues1 = ,\n}\n", "values1", 5),
+        ("phi = 0.1\nR = 16\nscheme {\np_r = 0.01\n}\n", "kind", None),
+        ("phi = 0.1\nR = 16\nsweep {\nvalues1 = 10, 12\n}\n", "axis1", None),
+    ], ids=["nested-block", "unknown-block", "duplicate-block", "unmatched-brace", "key-without-value",
+            "empty-value-list", "scheme-without-kind", "sweep-without-axis1"])
+    def test_malformed_document_exits_with_parse_error(self, tmp_path, capsys, doc, key, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.key == key and err.value.line == line
+        path = tmp_path / "bad.conf"
+        path.write_text(doc)
+        assert main(["run", "--config", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"netwake: config error: {err.value}\n"
 
     def test_fractional_integer_rejected(self):
         with pytest.raises(ConfigError) as err:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netwake.geometry import BoundaryMode, expected_degree, pair_distances, sample_points
+from netwake.geometry import BoundaryMode, pair_distances, sample_points
 
-from conftest import distance
+from conftest import distance, expected_degree
 
 TORUS = BoundaryMode.TORUS
 PLANAR = BoundaryMode.PLANAR

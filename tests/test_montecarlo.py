@@ -410,6 +410,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(radio_range=-1.0)
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master seed must be nonnegative, got -1"):
+            small_cfg(master_seed=-1)
+
+    @pytest.mark.parametrize("name,value", [("n_runs", 2.5), ("n_nodes", 300.5), ("master_seed", 1.5),
+                                            ("n_runs", 12.0)])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # A float would truncate, fail deep inside numpy, or be hashed as
+        # "1.5" into the seeds of a sweep's cells.
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            small_cfg(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_cfg(n_runs=np.int64(3), n_nodes=np.int32(400), master_seed=np.uint8(42))
+        assert run_replicates(cfg) == run_replicates(small_cfg(n_runs=3))
+
     def test_phi_kept_in_sync_with_cascade_params(self):
         cfg = small_cfg(phi=0.3, cascade=CascadeParams(phi=0.9, cutoff_fraction=0.5))
         assert cfg.cascade.phi == 0.3

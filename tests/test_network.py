@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from netwake.geometry import BoundaryMode, expected_degree, sample_points
+from netwake.geometry import BoundaryMode, sample_points
 from netwake.network import CellGrid, Network, _build_csr, build_rgg, concat_ranges, offset_tables, row_positions
 from netwake.smallworld import LinkScheme, add_long_range_links
 
@@ -13,7 +13,9 @@ from conftest import (
     brute_force_edges,
     components,
     edge_set,
+    expected_degree,
     giant_fraction,
+    mean_local_degree,
     network_from_edges,
     validate_network,
 )
@@ -76,6 +78,23 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="node ids must be integers"):
             Network.from_edges(np.zeros((3, 2)), np.array([0]), np.array([2.0]), 1.0, TORUS, 1.0)
 
+    @pytest.mark.parametrize("positions,side,radio,match", [
+        (np.zeros(3), 1.0, 1.0, r"shape \(n, 2\)"),
+        (np.zeros((3, 3)), 1.0, 1.0, r"shape \(n, 2\)"),
+        (np.full((3, 2), np.nan), 1.0, 1.0, r"must lie in \[0, side\)"),
+        (np.full((3, 2), 2.5), 1.0, 1.0, r"must lie in \[0, side\)"),
+        (np.zeros((3, 2)), np.nan, 1.0, "side must be positive and finite"),
+        (np.zeros((3, 2)), -1.0, 1.0, "side must be positive and finite"),
+        (np.zeros((3, 2)), 1.0, np.nan, "range must be nonnegative and finite"),
+    ], ids=["flat", "three-columns", "nan-coordinates", "outside-the-torus", "nan-side", "negative-side",
+            "nan-range"])
+    def test_malformed_deployment_rejected(self, positions, side, radio, match):
+        # A coordinate of 2.5 on a side-1 torus would give metric
+        # distances beyond any minimum-image distance.
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            Network.from_edges(positions, empty, empty, side, TORUS, radio)
+
     @pytest.mark.parametrize("empty", [np.array([]), np.empty(0, dtype=np.int32), []])
     def test_empty_ids_of_any_dtype_accepted(self, empty):
         net = Network.from_edges(np.zeros((3, 2)), empty, empty, 1.0, TORUS, 1.0)
@@ -135,7 +154,7 @@ class TestBuildRgg:
         degs = []
         for i in range(5):
             pts = sample_points(2500, 500.0, np.random.default_rng(100 + i))
-            degs.append(build_rgg(pts, 12.5, 500.0, TORUS).mean_local_degree)
+            degs.append(mean_local_degree(build_rgg(pts, 12.5, 500.0, TORUS)))
         expected = expected_degree(0.01, 12.5)
         assert abs(np.mean(degs) - expected) / expected < 0.05
 
@@ -179,6 +198,11 @@ class TestBuildRgg:
         with pytest.raises(ValueError, match=r"must lie in \[0, side\)"):
             build_rgg(np.array([[1.0, 1.0], point]), 1.0, 10.0, TORUS)
 
+    @pytest.mark.parametrize("points", [np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 2))])
+    def test_rejects_points_that_are_not_n_by_2(self, points):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+            build_rgg(points, 1.0, 10.0, TORUS)
+
     @pytest.mark.parametrize("side", [0.0, -10.0, math.inf, math.nan])
     def test_rejects_a_side_that_is_not_positive_and_finite(self, side):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -196,8 +220,9 @@ class TestBuildRgg:
             assert np.all(np.diff(nbrs) > 0)
 
     def test_degree_edge_relation(self, rng):
+        # Handshake lemma: the degrees sum to twice the edge count.
         net = build_rgg(sample_points(400, 100.0, rng), 8.0, 100.0, TORUS)
-        assert net.mean_local_degree == pytest.approx(2 * net.n_local_edges / net.n_nodes)
+        assert int(net.degrees.sum()) == 2 * len(edge_set(net))
 
 
 @pytest.mark.parametrize("boundary", [TORUS, PLANAR])

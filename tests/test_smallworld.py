@@ -292,6 +292,25 @@ class TestCutoffCount:
         with pytest.raises(LinkSamplingError, match="2 placed and only 0 more"):
             add_long_range_links(net, LinkScheme.cutoff(0.6, 8.0), np.random.default_rng(4))
 
+    def test_count_that_passes_lets_sampling_go_on(self, monkeypatch):
+        # With one idle batch allowed, the exact count runs once, finds
+        # enough pairs in (R, d_c] and sampling goes on to place every link.
+        monkeypatch.setattr(sw, "_STALL_BATCHES", 1)
+        counts = []
+        positive_pairs = sw._CellSampler.positive_pairs
+
+        def counted(sampler):
+            counts.append(1)
+            return positive_pairs(sampler)
+
+        monkeypatch.setattr(sw._CellSampler, "positive_pairs", counted)
+        rng = np.random.default_rng(2)
+        net = build_rgg(sample_points(400, 200.0, rng), 10.0, 200.0, TORUS)
+        out = add_long_range_links(net, LinkScheme.cutoff(0.01, 10.02), rng)
+        assert len(counts) == 1
+        assert out.n_long_edges == 4
+        assert np.all((out.long_length > 10.0) & (out.long_length <= 10.02))
+
     def test_count_follows_existing_links(self):
         # One of the two short pairs is already a long link: a second call
         # can place the other one, but not two more.
