@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SeedingError
-from .network import Network, concat_ranges
+from .network import Network
 
 NEVER = -1  # activation_time value for nodes that never turned on
 
@@ -48,6 +48,11 @@ class SeedRule(Enum):
     EXPLICIT = "explicit"
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Which nodes get switched on at t=0; explicit ids are integers (numpy ones included)."""
@@ -61,7 +66,7 @@ class SeedSpec:
         if self.rule is not SeedRule.EXPLICIT and self.nodes:
             raise ValueError(f"{self.rule.value} seed spec takes no node ids")
         for v in self.nodes:
-            if not isinstance(v, (int, np.integer)):
+            if not is_integer(v):
                 raise ValueError(f"seed node ids must be integers, got {v!r}")
         object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
 
@@ -93,8 +98,8 @@ class CascadeParams:
             raise ValueError(f"threshold phi must be in [0, 1], got {self.phi}")
         if not 0.0 < self.cutoff_fraction <= 1.0:
             raise ValueError(f"cutoff fraction must be in (0, 1], got {self.cutoff_fraction}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_steps is not None and not (is_integer(self.max_steps) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -158,16 +163,11 @@ def select_seed(net: Network, spec: SeedSpec, rng: np.random.Generator) -> np.nd
     return np.unique(np.array([hub, int(pair[0]), int(pair[1])], dtype=np.int64))
 
 
-def _neighbors_of(net: Network, nodes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of the given nodes, whose degrees are ``sizes``."""
-    return net.adj_indices[concat_ranges(net.adj_indptr[nodes], sizes)]
-
-
 def initial_state(net: Network, seeds: np.ndarray) -> CascadeState:
     """State at t=0 with the seed set switched on."""
     activation_time = np.full(net.n_nodes, NEVER, dtype=np.int64)
     activation_time[seeds] = 0
-    reached = _neighbors_of(net, seeds, net.degrees[seeds])
+    reached = net.neighbors(seeds)
     return CascadeState(
         activation_time=activation_time,
         t=0,
@@ -198,13 +198,12 @@ def _step(net: Network, state: CascadeState, phi: float, rank: np.ndarray | None
         if newly.size == 0:
             break
         activation_time[newly] = t
-        sizes = net.degrees[newly]
-        targets = _neighbors_of(net, newly, sizes)
+        targets = net.neighbors(newly)
         rounds.append(newly)
         reached.append(targets)
         if rank is None:
             break
-        source_rank = np.repeat(rank[newly], sizes)
+        source_rank = np.repeat(rank[newly], net.degrees[newly])
         later = targets[(activation_time[targets] == NEVER) & (rank[targets] > source_rank)]
         # Each distinct node in ``later`` is one candidate, hit once per occurrence.
         candidates, hits = np.unique(later, return_counts=True)

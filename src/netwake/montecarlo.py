@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import CascadeOutcome, CascadeParams, run_cascade
+from .cascade import CascadeOutcome, CascadeParams, is_integer, run_cascade
 from .energy import EnergyModel, EnergyReport, account_cascade
 from .errors import EstimationError, ExperimentInfeasibleError, LinkSamplingError, SeedingError
 from .geometry import BoundaryMode, sample_points
@@ -58,7 +58,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_nodes", "n_runs", "master_seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_nodes < 1:
             raise ValueError(f"need at least one node, got {self.n_nodes}")

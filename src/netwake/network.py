@@ -24,7 +24,8 @@ derives the merged adjacency and the degrees from its edge lists once,
 on construction, by inserting the few long-link entries into the sorted
 local rows at the positions ``row_positions`` finds, reading only those
 rows. A network with more links is a new ``Network``
-(``dataclasses.replace``), never an edited one.
+(``dataclasses.replace``), never an edited one. It answers the edge and
+neighbor queries (``has_edge``, ``neighbors``): no other module reads CSR.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     # Output slot t of range r holds starts[r] + (t - (ends[r] - counts[r])).
     shifts = np.asarray(starts, dtype=np.int64) - (ends - counts)
     out = np.repeat(shifts, counts)
@@ -84,7 +83,9 @@ class CellGrid:
     and ``starts`` each cell's node count and first slot in ``order``, the
     nodes sorted by cell id x * g + y and by node id within a cell: one
     plain sort of the unique keys cell * n + node, whose remainders mod n
-    are the stable argsort of the cell ids.
+    are the stable argsort of the cell ids. ``counts`` ends with one more
+    cell, g * g, that is always empty: on the plane, ``shift`` returns it
+    for a shift off the grid, so such a shift finds no nodes.
 
     Offset k shifts a cell by (dx[k], dy[k]): residues mod g on the torus,
     signed in [1 - g, g - 1] on the plane. ``dmin[k]`` is the least
@@ -100,20 +101,19 @@ class CellGrid:
         self.torus = boundary is BoundaryMode.TORUS
         self.coords = np.minimum((positions / (side / g)).astype(np.int64), g - 1)
         cell = self.coords[:, 0] * g + self.coords[:, 1]
-        self.counts = np.bincount(cell, minlength=g * g)
+        self.counts = np.bincount(cell, minlength=g * g + 1)
         self.starts = np.concatenate([[0], np.cumsum(self.counts)])
         self.order = np.sort(cell * n + np.arange(n)) % n
         self.dx, self.dy, self.dmin, self.inverse = offset_tables(g, self.torus, side)
 
-    def shift(self, cx: np.ndarray, cy: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-        """Cell (cx, cy) shifted by offset k, and the mask of shifts inside the grid."""
+    def shift(self, cx: np.ndarray, cy: np.ndarray, k) -> np.ndarray:
+        """Cell (cx, cy) shifted by offset k; on the plane, the empty cell g * g for a shift off the grid."""
         g = self.g
         tx = cx + self.dx[k]
         ty = cy + self.dy[k]
         if self.torus:
-            return (tx % g) * g + ty % g, np.ones(tx.shape, dtype=bool)
-        inside = (tx >= 0) & (tx < g) & (ty >= 0) & (ty < g)
-        return np.where(inside, tx * g + ty, 0), inside
+            return (tx % g) * g + ty % g
+        return np.where((tx >= 0) & (tx < g) & (ty >= 0) & (ty < g), tx * g + ty, g * g)
 
     def pairs(self, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Node pairs (u, v) whose cells lie one of ``offsets`` apart, one offset at a time.
@@ -130,12 +130,12 @@ class CellGrid:
         g = self.g
         cells = np.arange(g * g)
         cx, cy = np.divmod(cells, g)
-        slot_cell = np.repeat(cells, self.counts)
+        slot_cell = np.repeat(cells, self.counts[:g * g])
         slots = np.arange(slot_cell.size)
         for k in np.flatnonzero(chosen & first):
-            target, inside = self.shift(cx, cy, k)
+            target = self.shift(cx, cy, k)
             start = self.starts[target][slot_cell]
-            end = start + np.where(inside, self.counts[target], 0)[slot_cell]
+            end = start + self.counts[target][slot_cell]
             if self.inverse[k] == k:
                 start = np.maximum(start, slots + 1)
             size = np.maximum(end - start, 0)
@@ -150,7 +150,8 @@ class Network:
     sorted neighbor lists; long-range links are stored as parallel arrays
     (u, v, length). ``adj_indptr``/``adj_indices`` cover the union of both
     edge classes and drive all dynamics; they and ``degrees`` are derived
-    from the edge lists once, on construction.
+    from the edge lists once, on construction. Other modules ask
+    ``has_edge`` and ``neighbors`` instead of reading them.
     """
 
     n_nodes: int
@@ -227,9 +228,20 @@ class Network:
 
     # -- adjacency queries ---------------------------------------------------
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """All neighbors of ``node`` (local and long-range), ascending."""
-        return self.adj_indices[self.adj_indptr[node]:self.adj_indptr[node + 1]]
+    def has_edge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Mask of the pairs (a[k], b[k]) that are edges, local or long-range."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        # An edge {a, b} sits in row a at the position where b would go.
+        pos = row_positions(self.adj_indptr, self.adj_indices, a, b)
+        hit = pos < self.adj_indptr[a + 1]
+        hit[hit] = self.adj_indices[pos[hit]] == b[hit]
+        return hit
+
+    def neighbors(self, nodes) -> np.ndarray:
+        """Neighbor lists (local and long-range) of ``nodes``, concatenated in order; one node's is ascending."""
+        nodes = np.atleast_1d(nodes)
+        starts = self.adj_indptr[nodes]
+        return self.adj_indices[concat_ranges(starts, self.adj_indptr[nodes + 1] - starts)]
 
     def local_neighbors(self, node: int) -> np.ndarray:
         return self.local_indices[self.local_indptr[node]:self.local_indptr[node + 1]]

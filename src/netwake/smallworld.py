@@ -12,8 +12,9 @@ pair a weight w(d) that depends on the pair distance d:
 
 Each new link is a free pair (neither a self-loop nor an existing local
 or long edge) drawn with probability proportional to w(d) among the free
-pairs. Candidate pairs come in batches that numpy filters as a whole:
-self, local and duplicate pairs are dropped in draw order, so each link
+pairs. Candidate pairs come in batches that numpy filters as a whole: a
+candidate is kept when it is no self-pair, no edge of the network
+(``Network.has_edge``) and not placed earlier in the call, so each link
 is the first free candidate after the previous one.
 
 Uniform candidates are uniform node pairs, 4 per link in each batch (at
@@ -36,9 +37,7 @@ sum depend only on the configuration, so ``_offset_bounds`` computes
 them once and keeps them read-only, keyed on (g, torus, side, R,
 scheme), for one configuration at a time; a sweep over delta or d_c
 replaces the entry. They are a pure function of that key, so the cached
-arrays are bit-equal to fresh ones and every draw is unchanged. The
-local-edge test of a candidate reads only the CSR row of one endpoint
-(``network.row_positions``).
+arrays are bit-equal to fresh ones and every draw is unchanged.
 
 Infeasibility is decided exactly, never by a count of rejected draws. A
 LinkSamplingError means that:
@@ -73,7 +72,7 @@ import numpy as np
 
 from .errors import LinkSamplingError
 from .geometry import pair_distances
-from .network import CellGrid, Network, offset_tables, row_positions
+from .network import CellGrid, Network, offset_tables
 
 _BATCH_MIN = 256
 # Proposals per batch of the cell-offset sampler.
@@ -178,8 +177,8 @@ class _CellSampler:
         u = rng.integers(0, net.n_nodes, _PROPOSALS)
         slot = rng.integers(0, self.max_count, _PROPOSALS)
         cell = grid.coords.take(u, axis=0)
-        b, inside = grid.shift(cell[:, 0], cell[:, 1], self.offsets[k])
-        kept = np.flatnonzero(inside & (slot < grid.counts[b]))
+        b = grid.shift(cell[:, 0], cell[:, 1], self.offsets[k])
+        kept = np.flatnonzero(slot < grid.counts[b])
         u, k = u[kept], k[kept]
         v = grid.order[grid.starts[b[kept]] + slot[kept]]
         d = _distances(net, u, v)
@@ -206,14 +205,6 @@ def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(u, v) * n + np.maximum(u, v)
 
 
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mask of the ``keys`` that occur in the ascending array ``sorted_keys``."""
-    if sorted_keys.size == 0:
-        return np.zeros(keys.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[pos] == keys
-
-
 def _place_links(net: Network, n_new: int, propose: Callable[[], tuple[np.ndarray, np.ndarray]],
                  positive_pairs: Callable[[], Iterator[np.ndarray]] | None) -> tuple[np.ndarray, np.ndarray]:
     """The first ``n_new`` free candidate pairs (u, v), in draw order.
@@ -222,19 +213,10 @@ def _place_links(net: Network, n_new: int, propose: Callable[[], tuple[np.ndarra
     once, after _STALL_BATCHES batches in a row without a new link.
     """
     n = net.n_nodes
-    indptr, indices = net.local_indptr, net.local_indices
-    taken = np.sort(_pair_keys(net.long_u, net.long_v, n))
-
-    def local(keys):
-        # A local edge {a, b} sits in row a at the position where b would go.
-        a, b = np.divmod(keys, n)
-        pos = row_positions(indptr, indices, a, b)
-        hit = pos < indptr[a + 1]
-        hit[hit] = indices[pos[hit]] == b[hit]
-        return hit
+    taken = np.empty(0, dtype=np.int64)  # keys placed in this call
 
     def free(keys):
-        return ~(_in_sorted(taken, keys) | local(keys))
+        return ~(net.has_edge(*np.divmod(keys, n)) | np.isin(keys, taken))
 
     placed = []
     found = idle = 0
@@ -247,7 +229,7 @@ def _place_links(net: Network, n_new: int, propose: Callable[[], tuple[np.ndarra
         first = np.sort(first)[: n_new - found]
         hits = cand[first]
         placed.append((us[hits], vs[hits]))
-        taken = np.sort(np.concatenate([taken, keys[first]]))
+        taken = np.concatenate([taken, keys[first]])
         found += hits.size
         idle = 0 if hits.size else idle + 1
         if idle == _STALL_BATCHES and positive_pairs is not None:

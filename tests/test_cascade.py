@@ -7,6 +7,7 @@ from netwake.cascade import (
     NEVER,
     CascadeParams,
     Schedule,
+    SeedRule,
     SeedSpec,
     initial_state,
     run_cascade,
@@ -109,11 +110,21 @@ class TestSelectSeed:
         with pytest.raises(ValueError):
             select_seed(net, SeedSpec.explicit([0, 7]), rng)
 
-    @pytest.mark.parametrize("ids", [[1.5, 2.7], [0.9], [1, 2.0]])
+    @pytest.mark.parametrize("ids", [[1.5, 2.7], [0.9], [1, 2.0], [True, False]])
     def test_explicit_ids_must_be_integers(self, ids):
-        # int() would truncate them: [1.5, 2.7] seeded (1, 2), [0.9] node 0.
+        # int() would truncate them: [1.5, 2.7] seeded (1, 2), [0.9] node 0,
+        # and [True, False] nodes (1, 0).
         with pytest.raises(ValueError, match="seed node ids must be integers"):
             SeedSpec.explicit(ids)
+
+    def test_explicit_spec_needs_ids(self):
+        with pytest.raises(ValueError, match="explicit seed spec needs at least one node id"):
+            SeedSpec(SeedRule.EXPLICIT)
+
+    @pytest.mark.parametrize("rule", [SeedRule.SINGLE, SeedRule.TRIPLE])
+    def test_drawn_specs_take_no_ids(self, rule):
+        with pytest.raises(ValueError, match=f"{rule.value} seed spec takes no node ids"):
+            SeedSpec(rule, (0,))
 
     def test_explicit_numpy_ids_become_ints(self):
         spec = SeedSpec.explicit(np.array([4, 2], dtype=np.int32))
@@ -363,6 +374,16 @@ class TestRunCascade:
             CascadeParams(phi=0.1, cutoff_fraction=0.0)
         with pytest.raises(ValueError):
             CascadeParams(phi=0.1, max_steps=0)
+
+    @pytest.mark.parametrize("max_steps", [2.5, 3.0, float("nan"), True, "3"])
+    def test_max_steps_must_be_an_integer(self, max_steps):
+        # 2.5 used to run 3 steps, and NaN none at all, reported as finished.
+        with pytest.raises(ValueError, match=f"max_steps must be an integer >= 1, got {max_steps!r}"):
+            CascadeParams(phi=0.1, max_steps=max_steps)
+
+    def test_numpy_max_steps_accepted(self):
+        params = CascadeParams(phi=0.4, seed_spec=SeedSpec.explicit([0]), max_steps=np.int64(1))
+        assert run_cascade(path_network(5), params, np.random.default_rng(0)).stalled
 
 
 @pytest.fixture(scope="module")

@@ -415,10 +415,11 @@ class TestConfigValidation:
             small_cfg(master_seed=-1)
 
     @pytest.mark.parametrize("name,value", [("n_runs", 2.5), ("n_nodes", 300.5), ("master_seed", 1.5),
-                                            ("n_runs", 12.0)])
+                                            ("n_runs", 12.0), ("n_runs", True), ("n_nodes", True),
+                                            ("master_seed", False)])
     def test_counts_and_seed_must_be_integers(self, name, value):
         # A float would truncate, fail deep inside numpy, or be hashed as
-        # "1.5" into the seeds of a sweep's cells.
+        # "1.5" into the seeds of a sweep's cells; n_runs=True ran one replicate.
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             small_cfg(**{name: value})
 

@@ -27,7 +27,9 @@ PLANAR = BoundaryMode.PLANAR
 def test_concat_ranges():
     out = concat_ranges(np.array([5, 0, 9]), np.array([3, 0, 2]))
     np.testing.assert_array_equal(out, [5, 6, 7, 9, 10])
-    assert concat_ranges(np.array([], dtype=int), np.array([], dtype=int)).size == 0
+    for starts, counts in (([], []), ([3, 4], [0, 0])):
+        empty = concat_ranges(np.array(starts, dtype=int), np.array(counts, dtype=int))
+        assert empty.size == 0 and empty.dtype == np.int64
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -372,6 +374,51 @@ class TestLongLinkMerge:
         net = build_rgg(sample_points(50, 10.0, rng), 2.0, 10.0, TORUS)
         with pytest.raises(ValueError, match=r"long link has an endpoint outside \[0, 50\)"):
             dataclasses.replace(net, long_u=np.array([lu]), long_v=np.array([lv]), long_length=np.ones(1))
+
+
+class TestAdjacencyQueries:
+    @staticmethod
+    def linked():
+        # Local path 0-1-2-3 on six nodes, plus long links (0, 4) and (5, 2).
+        net = network_from_edges(6, [(0, 1), (1, 2), (2, 3)])
+        return dataclasses.replace(net, long_u=np.array([0, 5]), long_v=np.array([4, 2]), long_length=np.ones(2))
+
+    def test_has_edge(self):
+        a = np.array([0, 1, 2, 4, 0, 5, 0, 3, 4])
+        b = np.array([1, 0, 5, 0, 3, 4, 0, 3, 5])
+        np.testing.assert_array_equal(self.linked().has_edge(a, b), [True] * 4 + [False] * 5)
+        assert self.linked().has_edge(a[:0], b[:0]).size == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_has_edge_matches_the_edge_set(self, seed):
+        # Repeated links and a self-loop, as a network made by ``replace`` can hold.
+        rng = np.random.default_rng(seed)
+        net = add_long_range_links(build_rgg(sample_points(40, 10.0, rng), 2.0, 10.0, TORUS),
+                                   LinkScheme.uniform(0.2), rng)
+        net = dataclasses.replace(net, long_u=np.append(net.long_u, [3, 3, 7]),
+                                  long_v=np.append(net.long_v, [9, 9, 7]), long_length=np.ones(net.long_u.size + 3))
+        edges = edge_set(net) | {tuple(sorted(p)) for p in zip(net.long_u.tolist(), net.long_v.tolist())}
+        a, b = np.divmod(np.arange(40 * 40), 40)
+        np.testing.assert_array_equal(net.has_edge(a, b), [(min(p), max(p)) in edges for p in zip(a, b)])
+
+    def test_neighbors_of_an_array_concatenate_in_order(self):
+        net = self.linked()
+        assert net.neighbors(2).tolist() == [1, 3, 5]
+        assert net.neighbors(np.array([2, 0, 2, 5])).tolist() == [1, 3, 5, 1, 4, 1, 3, 5, 2]
+        empty = net.neighbors(np.empty(0, dtype=np.int64))
+        assert empty.size == 0 and empty.dtype == np.int64
+
+
+@pytest.mark.parametrize("boundary", [TORUS, PLANAR])
+def test_cell_grid_shift_off_the_plane_finds_the_empty_cell(boundary):
+    grid = CellGrid(sample_points(200, 50.0, np.random.default_rng(3)), 50.0, boundary, 10.0)
+    g = grid.g
+    assert grid.counts.size == g * g + 1 and grid.counts[g * g] == 0
+    cx, cy = np.divmod(np.arange(g * g), g)
+    for k in range(grid.dx.size):
+        tx, ty = cx + grid.dx[k], cy + grid.dy[k]
+        off = (tx < 0) | (tx >= g) | (ty < 0) | (ty >= g) if boundary is PLANAR else np.zeros(g * g, dtype=bool)
+        np.testing.assert_array_equal(grid.shift(cx, cy, k), np.where(off, g * g, (tx % g) * g + ty % g))
 
 
 class TestComponents:

@@ -40,3 +40,17 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 continue
             found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
     assert found == [], f"imports outside numpy and the standard library: {found}"
+
+
+def test_only_network_reads_the_edge_format():
+    # Network owns the CSR layout; other modules ask has_edge and neighbors.
+    internals = {"adj_indptr", "adj_indices", "local_indptr", "local_indices", "row_positions", "concat_ranges"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "network.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in internals:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == [], f"CSR internals named outside network.py: {found}"
