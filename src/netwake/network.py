@@ -149,9 +149,11 @@ class Network:
     Local adjacency (the range-R backbone) is stored in CSR form with
     sorted neighbor lists; long-range links are stored as parallel arrays
     (u, v, length). ``adj_indptr``/``adj_indices`` cover the union of both
-    edge classes and drive all dynamics; they and ``degrees`` are derived
-    from the edge lists once, on construction. Other modules ask
-    ``has_edge`` and ``neighbors`` instead of reading them.
+    edge classes and drive all dynamics; ``long_keys`` holds the keys
+    u * n + v of the long links in both orientations, sorted, and then
+    n * n, which no pair reaches. They and ``degrees`` are derived from the
+    edge lists once, on construction. Other modules ask ``has_edge`` and
+    ``neighbors`` instead of reading them.
     """
 
     n_nodes: int
@@ -167,24 +169,25 @@ class Network:
     adj_indptr: np.ndarray = field(init=False, repr=False)
     adj_indices: np.ndarray = field(init=False, repr=False)
     degrees: np.ndarray = field(init=False, repr=False)
+    long_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        indptr, indices = self.local_indptr, self.local_indices
-        if self.long_u.size:
-            n = self.n_nodes
-            src = np.concatenate([self.long_u, self.long_v]).astype(np.int64, copy=False)
-            dst = np.concatenate([self.long_v, self.long_u]).astype(np.int64, copy=False)
-            if src.min() < 0 or src.max() >= n:
-                raise ValueError(f"a long link has an endpoint outside [0, {n})")
-            # Inserting the entries in key order at their row positions gives
-            # the sorted rows of the union.
-            keys = np.sort(src * n + dst)
+        n, indptr, indices = self.n_nodes, self.local_indptr, self.local_indices
+        src = np.concatenate([self.long_u, self.long_v]).astype(np.int64, copy=False)
+        dst = np.concatenate([self.long_v, self.long_u]).astype(np.int64, copy=False)
+        if np.any((src < 0) | (src >= n)):
+            raise ValueError(f"a long link has an endpoint outside [0, {n})")
+        # Inserting the entries in key order at their row positions gives
+        # the sorted rows of the union.
+        keys = np.sort(src * n + dst)
+        if keys.size:
             rows, cols = np.divmod(keys, n)
             indices = np.insert(indices, row_positions(indptr, indices, rows, cols), cols)
             indptr = indptr + np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
         object.__setattr__(self, "adj_indptr", indptr)
         object.__setattr__(self, "adj_indices", indices)
         object.__setattr__(self, "degrees", np.diff(indptr))
+        object.__setattr__(self, "long_keys", np.append(keys, n * n))
 
     @classmethod
     def from_edges(cls, positions, u: np.ndarray, v: np.ndarray, side: float,
@@ -231,11 +234,13 @@ class Network:
     def has_edge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Mask of the pairs (a[k], b[k]) that are edges, local or long-range."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        # An edge {a, b} sits in row a at the position where b would go.
-        pos = row_positions(self.adj_indptr, self.adj_indices, a, b)
-        hit = pos < self.adj_indptr[a + 1]
-        hit[hit] = self.adj_indices[pos[hit]] == b[hit]
-        return hit
+        # A local edge {a, b} sits in local row a where b would go, and a long
+        # one is a key in long_keys: the long links add no reads to the rows.
+        pos = row_positions(self.local_indptr, self.local_indices, a, b)
+        hit = pos < self.local_indptr[a + 1]
+        hit[hit] = self.local_indices[pos[hit]] == b[hit]
+        keys = a * self.n_nodes + b
+        return hit | (self.long_keys[np.searchsorted(self.long_keys, keys)] == keys)
 
     def neighbors(self, nodes) -> np.ndarray:
         """Neighbor lists (local and long-range) of ``nodes``, concatenated in order; one node's is ascending."""
