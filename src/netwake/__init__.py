@@ -50,6 +50,7 @@ from .montecarlo import (
     run_replicate,
     run_replicates,
     sweep,
+    window_boundaries,
 )
 from .network import Network, build_rgg
 from .smallworld import LinkScheme, SchemeKind, add_long_range_links
@@ -65,7 +66,7 @@ __all__ = [
     "account_cascade", "predicted_energy",
     "ExperimentConfig", "Replicate", "ReplicateStats", "SweepAxis", "SweepSpec", "SweepRow",
     "run_replicate", "run_replicates", "sweep", "cell_config", "replicate_rng",
-    "estimate_crossing", "fit_boundary_exponent",
+    "estimate_crossing", "fit_boundary_exponent", "window_boundaries",
     "parse_config",
     "NetwakeError", "ConfigError", "SeedingError", "LinkSamplingError",
     "ExperimentInfeasibleError", "EstimationError",

@@ -8,7 +8,9 @@ Subcommands:
                  state snapshots at chosen steps;
 * ``transition`` extract onset / upper-boundary crossings of the cascade
                  probability from an R sweep (optionally per threshold)
-                 and fit the boundary scaling exponent.
+                 and fit the boundary scaling exponent, both read by
+                 ``montecarlo.window_boundaries``, the pipeline the
+                 acceptance criteria share.
 
 Flags override config-file values. Exit codes: 0 success, 2 parse error,
 3 infeasible experiment, 4 I/O error.
@@ -23,20 +25,8 @@ import time
 from dataclasses import replace
 
 from .config import describe_config, describe_sweep, parse_config
-from .errors import (
-    ConfigError,
-    EstimationError,
-    ExperimentInfeasibleError,
-    LinkSamplingError,
-    SeedingError,
-)
-from .montecarlo import (
-    SweepSpec,
-    estimate_crossing,
-    fit_boundary_exponent,
-    run_replicate,
-    sweep,
-)
+from .errors import ConfigError, ExperimentInfeasibleError, LinkSamplingError, SeedingError
+from .montecarlo import SweepSpec, run_replicate, sweep, window_boundaries
 from .output import (
     RunManifest,
     emit_sweep_csv,
@@ -196,43 +186,20 @@ def _check_transition_axes(spec: SweepSpec) -> None:
         raise ConfigError("transition estimation accepts only phi as axis2")
 
 
-def _crossing_or_none(rs, ps, rising: bool) -> float | None:
-    try:
-        return estimate_crossing(rs, ps, rising)
-    except EstimationError:
-        return None
-
-
 def _cmd_transition(args) -> int:
     spec, rows, start = _start_sweep(args, "transition", _check_transition_axes)
-    phis = list(spec.axis2.values) if spec.axis2 is not None else [spec.base.phi]
-    rs = list(spec.axis1.values)
-
-    table: list[tuple] = []
-    boundaries: list[tuple[float, float]] = []
-    for phi in phis:
-        cells = rows if spec.axis2 is None else [r for r in rows if r.axis2_value == phi]
-        ps = [r.stats.p_global if r.stats else float("nan") for r in cells]
-        onset = _crossing_or_none(rs, ps, rising=True)
-        upper = _crossing_or_none(rs, ps, rising=False)
-        if upper is not None:
-            boundaries.append((phi, upper))
-        table.append((phi, onset, upper))
-
-    extra = {}
-    if len(boundaries) >= 3:
-        try:
-            slope = fit_boundary_exponent([b[0] for b in boundaries], [b[1] for b in boundaries])
-        except EstimationError as exc:
-            print(f"netwake: boundary exponent omitted: {exc}", file=sys.stderr)
-        else:
-            extra["boundary-exponent"] = repr(slope)
+    # Rows run row-major over (R, phi): every len(phis)-th row is one phi's curve.
+    phis = spec.axis2.values if spec.axis2 is not None else (spec.base.phi,)
+    curves = [(phi, spec.axis1.values, rows[j::len(phis)]) for j, phi in enumerate(phis)]
+    table, exponent, reason = window_boundaries(curves)
+    if reason:
+        print(f"netwake: boundary exponent omitted: {reason}", file=sys.stderr)
     manifest = RunManifest(
         config_echo=describe_sweep(spec),
         master_seed=spec.base.master_seed,
         duration_s=time.monotonic() - start,
         row_count=len(table),
-        extra=extra,
+        extra={} if exponent is None else {"boundary-exponent": repr(exponent)},
     )
     destination = args.out or "transition.csv"
     emit_transition_csv(table, manifest, destination)

@@ -11,7 +11,10 @@ permutes rows without changing any cell.
 aggregates it and ``netwake run`` prints replicate 0 of it. With more
 than one job, ``sweep`` starts one process pool of min(n_jobs, n_runs)
 workers for the whole grid, and each cell sends that pool one
-contiguous chunk of replicates per worker. The range
+contiguous chunk of replicates per worker. ``window_boundaries`` is
+the one transition pipeline: it reads the cascade window (onset, upper
+boundary, boundary exponent) off sweep rows for ``netwake transition``
+and the acceptance criteria alike. The range
 rules of an experiment live on the types (``ExperimentConfig``,
 ``CascadeParams``, ``LinkScheme``, ``SweepAxis``), not in the config
 parser.
@@ -381,3 +384,34 @@ def fit_boundary_exponent(phis, boundary_ranges) -> float:
             raise EstimationError(f"cannot fit a log-log slope through {name} {float(bad[0])!r}")
     slope, _ = np.polyfit(np.log(phis), np.log(ranges), 1)
     return float(slope)
+
+
+def window_boundaries(curves) -> tuple[list[tuple], float | None, str | None]:
+    """The cascade window read off sweep rows, one curve per threshold.
+
+    ``curves`` holds one ``(phi, R grid, sweep rows over that grid)`` per
+    threshold, in order; a flagged row (stats None) reads as NaN. Returns
+    ``(table, exponent, reason)``. The table holds one ``(phi, onset,
+    upper)`` per curve: ``estimate_crossing`` rising and falling, None
+    where it raises EstimationError. Given three or more upper crossings,
+    the exponent is ``fit_boundary_exponent`` over them, or None with the
+    fit's EstimationError message as the reason; given fewer, both are
+    None.
+    """
+    def crossing(r_values, p_values, rising):
+        try:
+            return estimate_crossing(r_values, p_values, rising)
+        except EstimationError:
+            return None
+
+    table = []
+    for phi, r_values, rows in curves:
+        ps = [math.nan if row.stats is None else row.stats.p_global for row in rows]
+        table.append((phi, crossing(r_values, ps, True), crossing(r_values, ps, False)))
+    boundaries = [(phi, upper) for phi, _, upper in table if upper is not None]
+    if len(boundaries) < 3:
+        return table, None, None
+    try:
+        return table, fit_boundary_exponent(*zip(*boundaries)), None
+    except EstimationError as exc:
+        return table, None, str(exc)

@@ -3,28 +3,32 @@ PASS/FAIL line (run with -s to watch them stream).
 
 Desk scale: the reference deployment is N=10^4 nodes on a 10^3 square
 (or N=2500 on a 500 square at the same density where noted), 200
-replicates per point, binomial tolerances at 3 sigma.
+replicates per point, binomial tolerances at 3 sigma. c2 runs the
+committed scan ``configs/onset_scan.conf``; c2 and c4 read crossings and
+the slope through ``window_boundaries``, the pipeline behind
+``netwake transition``. A missing crossing or slope prints as "none".
 """
 
 from __future__ import annotations
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 
 from netwake.cascade import CascadeParams, NEVER, SeedSpec, run_cascade
 from netwake.cli import main
+from netwake.config import parse_config
 from netwake.energy import EnergyModel, predicted_energy
 from netwake.geometry import BoundaryMode, sample_points
 from netwake.montecarlo import (
     ExperimentConfig,
     SweepAxis,
     SweepSpec,
-    estimate_crossing,
-    fit_boundary_exponent,
     run_replicates,
     sweep,
+    window_boundaries,
 )
 from netwake.network import build_rgg
 
@@ -39,11 +43,17 @@ from conftest import (
 
 N_JOBS = os.cpu_count() or 1
 N_RUNS = 200
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(cid: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {cid}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {cid}: {detail}"
+
+
+def fmt(value: float | None, spec: str) -> str:
+    """``value`` formatted to ``spec``, or "none" when it is missing."""
+    return "none" if value is None else format(value, spec)
 
 
 def test_c1_degree_range_relation():
@@ -61,16 +71,15 @@ def test_c1_degree_range_relation():
 
 
 def test_c2_onset_transition():
-    # phi=0.05, single seed: p_global < 0.1 at R=11, > 0.9 at R=14,
-    # interpolated onset 12.5 +- 1.0.
-    base = ExperimentConfig(phi=0.05, radio_range=12.0, n_runs=N_RUNS, master_seed=2026)
-    grid = tuple(10.0 + 0.5 * i for i in range(13))  # 10 .. 16
-    rows = sweep(SweepSpec(base=base, axis1=SweepAxis("R", grid)), n_jobs=N_JOBS)
-    p = {row.axis1_value: row.stats.p_global for row in rows}
-    onset = estimate_crossing(grid, [p[r] for r in grid], rising=True)
-    ok = p[11.0] < 0.1 and p[14.0] > 0.9 and abs(onset - 12.5) <= 1.0
+    # configs/onset_scan.conf, phi=0.05, single seed: p_global < 0.1 at
+    # R=11, > 0.9 at R=14, interpolated onset 12.5 +- 1.0.
+    spec = parse_config((CONFIGS / "onset_scan.conf").read_text())
+    rows = sweep(spec, n_jobs=N_JOBS)
+    p = {row.axis1_value: math.nan if row.stats is None else row.stats.p_global for row in rows}
+    [(_, onset, _)], _, _ = window_boundaries([(spec.base.phi, spec.axis1.values, rows)])
+    ok = p[11.0] < 0.1 and p[14.0] > 0.9 and onset is not None and abs(onset - 12.5) <= 1.0
     report(2, ok, f"p(R=11)={p[11.0]:.3f} (<0.1), p(R=14)={p[14.0]:.3f} (>0.9), "
-                  f"onset R={onset:.2f} (12.5 +- 1.0)")
+                  f"onset R={fmt(onset, '.2f')} (12.5 +- 1.0)")
 
 
 def test_c3_seed_size_discrimination():
@@ -94,16 +103,16 @@ def test_c4_upper_boundary_scaling():
         0.10: tuple(float(r) for r in range(12, 29, 2)),
         0.20: tuple(float(r) for r in range(12, 23, 2)),
     }
-    boundaries = []
+    curves = []
     for phi, grid in grids.items():
         base = ExperimentConfig(phi=phi, radio_range=grid[0], n_nodes=2500, side=500.0,
                                 n_runs=N_RUNS, master_seed=404)
-        rows = sweep(SweepSpec(base=base, axis1=SweepAxis("R", grid)), n_jobs=N_JOBS)
-        ps = [row.stats.p_global for row in rows]
-        boundaries.append(estimate_crossing(grid, ps, rising=False))
-    slope = fit_boundary_exponent(list(grids), boundaries)
-    detail = ", ".join(f"R_c({phi})={rc:.1f}" for phi, rc in zip(grids, boundaries))
-    report(4, abs(slope - (-0.5)) <= 0.2, f"{detail}, slope {slope:.3f} (-0.5 +- 0.2)")
+        curves.append((phi, grid, sweep(SweepSpec(base=base, axis1=SweepAxis("R", grid)),
+                                        n_jobs=N_JOBS)))
+    table, slope, reason = window_boundaries(curves)
+    detail = ", ".join(f"R_c({phi})={fmt(rc, '.1f')}" for phi, _, rc in table)
+    detail += f", slope {fmt(slope, '.3f')} (-0.5 +- 0.2)" + (f": {reason}" if reason else "")
+    report(4, slope is not None and abs(slope - (-0.5)) <= 0.2, detail)
 
 
 def test_c5_small_world_speedup():

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from netwake.cascade import Schedule, SeedRule
@@ -5,7 +8,7 @@ from netwake.cli import EXIT_PARSE, main
 from netwake.config import describe_config, describe_sweep, parse_config
 from netwake.errors import ConfigError
 from netwake.geometry import BoundaryMode
-from netwake.montecarlo import ExperimentConfig, SweepSpec
+from netwake.montecarlo import ExperimentConfig, SweepSpec, cell_config
 from netwake.smallworld import SchemeKind
 
 
@@ -256,3 +259,23 @@ class TestEcho:
     def test_sweep_echo_includes_axes(self):
         spec = parse_config("phi=0.05\nR=12\nsweep {\n axis1 = R\n values1 = 11, 13\n}\n")
         assert "axis1=R:[11.0, 13.0]" in describe_sweep(spec)
+
+
+COMMITTED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.conf"))
+
+
+def test_the_committed_configs_are_found():
+    assert {"onset_scan.conf", "wakeup_run.conf"} <= {path.name for path in COMMITTED}
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.name)
+def test_committed_config_parses_and_every_cell_is_valid(path):
+    # Parsing and cell configs only: no replicate runs.
+    parsed = parse_config(path.read_text())
+    if path.name == "wakeup_run.conf":
+        assert isinstance(parsed, ExperimentConfig)
+        return
+    assert isinstance(parsed, SweepSpec)
+    axes = [axis for axis in (parsed.axis1, parsed.axis2) if axis is not None]
+    for values in itertools.product(*(axis.values for axis in axes)):
+        cell_config(parsed.base, {axis.name: value for axis, value in zip(axes, values)})

@@ -10,7 +10,9 @@ from netwake.errors import EstimationError, ExperimentInfeasibleError
 from netwake.geometry import BoundaryMode, sample_points
 from netwake.montecarlo import (
     ExperimentConfig,
+    ReplicateStats,
     SweepAxis,
+    SweepRow,
     SweepSpec,
     cell_config,
     estimate_crossing,
@@ -18,6 +20,7 @@ from netwake.montecarlo import (
     replicate_rng,
     run_replicates,
     sweep,
+    window_boundaries,
 )
 from netwake.network import build_rgg
 from netwake.smallworld import LinkScheme
@@ -375,6 +378,55 @@ class TestBoundaryFit:
     def test_grids_that_are_not_one_length_or_1d_raise(self, phis, ranges):
         with pytest.raises(ValueError, match="1-d grids of one length"):
             fit_boundary_exponent(phis, ranges)
+
+
+def _curve(phi, r_values, p_values):
+    """One threshold's curve of hand-made sweep rows; a None probability
+    is a flagged cell."""
+    rows = [SweepRow(r, phi, None, "flagged") if p is None else SweepRow(r, phi, ReplicateStats(
+        p_global=p, p_global_se=0.0, mean_time=None, mean_time_se=None, mean_energy=None,
+        mean_energy_se=None, mean_final_fraction=p, mean_link_length=None,
+        n_success=round(10 * p), n_runs=10, n_infeasible=0)) for r, p in zip(r_values, p_values)]
+    return phi, r_values, rows
+
+
+class TestWindowBoundaries:
+    RS = (10.0, 12.0, 14.0, 16.0, 18.0)
+    # Rising through 0.5 between 10 and 12, falling between 14 and 18.
+    CLEAN = {0.05: (0.1, 0.9, 1.0, 0.7, 0.2), 0.1: (0.3, 0.8, 0.6, 0.2, 0.0),
+             0.2: (0.2, 0.6, 0.4, 0.1, 0.0)}
+
+    def test_rows_come_out_in_curve_order(self):
+        phis = (0.2, 0.05, 0.1)
+        table, _, _ = window_boundaries([_curve(phi, self.RS, self.CLEAN[phi]) for phi in phis])
+        assert [row[0] for row in table] == list(phis)
+
+    def test_flagged_row_hides_only_the_crossing_it_brackets(self):
+        [(phi, onset, upper)], exponent, reason = window_boundaries(
+            [_curve(0.1, self.RS, (0.1, None, 0.9, 0.6, 0.2))])
+        assert (phi, onset, exponent, reason) == (0.1, None, None, None)
+        assert upper == pytest.approx(16.0 + 2.0 * 0.1 / 0.4)
+
+    def test_fewer_than_three_upper_crossings_give_no_exponent(self):
+        curves = [_curve(0.05, self.RS, self.CLEAN[0.05]), _curve(0.1, self.RS, self.CLEAN[0.1]),
+                  _curve(0.2, self.RS, (0.0, 0.6, 0.8, 0.9, 0.9))]
+        table, exponent, reason = window_boundaries(curves)
+        assert [upper is None for _, _, upper in table] == [False, False, True]
+        assert (exponent, reason) == (None, None)
+
+    def test_zero_threshold_gives_a_reason_instead_of_an_exponent(self):
+        curves = [_curve(phi, self.RS, ps) for phi, ps in zip((0.0, 0.1, 0.2), self.CLEAN.values())]
+        table, exponent, reason = window_boundaries(curves)
+        assert all(upper is not None for _, _, upper in table)
+        assert exponent is None and "threshold 0.0" in reason
+
+    def test_clean_rows_match_the_crossing_and_fit_rules(self):
+        table, exponent, reason = window_boundaries(
+            [_curve(phi, self.RS, ps) for phi, ps in self.CLEAN.items()])
+        assert table == [(phi, estimate_crossing(self.RS, ps, True), estimate_crossing(self.RS, ps, False))
+                         for phi, ps in self.CLEAN.items()]
+        assert exponent == fit_boundary_exponent(list(self.CLEAN), [row[2] for row in table])
+        assert reason is None
 
 
 class TestCascadeWindowPhysics:

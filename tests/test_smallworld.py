@@ -40,6 +40,11 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             LinkScheme(sw.SchemeKind.POWER_LAW, 0.01, delta=2.0, d_c=10.0)
 
+    @pytest.mark.parametrize("d", [5.0, np.array([0.5, 30.0, 1414.2]), np.zeros((2, 3))])
+    def test_uniform_weight_is_one_at_every_distance(self, d):
+        w = LinkScheme.uniform(0.01).weight(d)
+        assert np.shape(w) == np.shape(d) and np.all(w == 1.0)
+
 
 class TestAddLinks:
     def test_zero_density_is_identity(self, backbone, rng):

@@ -42,15 +42,27 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert found == [], f"imports outside numpy and the standard library: {found}"
 
 
-def test_only_network_reads_the_edge_format():
-    # Network owns the CSR layout; other modules ask has_edge and neighbors.
-    internals = {"adj_indptr", "adj_indices", "local_indptr", "local_indices", "row_positions", "concat_ranges"}
+def names_outside(owners, names):
+    """Every place a package module other than ``owners`` names one of ``names``."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "network.py":
+        if path.name in owners:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if name in internals:
+            if name in names:
                 found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_only_network_reads_the_edge_format():
+    # Network owns the CSR layout; other modules ask has_edge and neighbors.
+    internals = {"adj_indptr", "adj_indices", "local_indptr", "local_indices", "row_positions", "concat_ranges"}
+    found = names_outside({"network.py"}, internals)
     assert found == [], f"CSR internals named outside network.py: {found}"
+
+
+def test_only_montecarlo_reads_the_cascade_window():
+    # One transition pipeline: everything else asks window_boundaries.
+    found = names_outside({"montecarlo.py", "__init__.py"}, {"estimate_crossing", "fit_boundary_exponent"})
+    assert found == [], f"crossing or fit rules named outside montecarlo.py: {found}"
