@@ -9,15 +9,19 @@ alike.
 
 Two schedules are supported. Synchronous: every node evaluates against
 the previous step's active set and all activations land at once.
-Asynchronous: one time step is a full sweep over a fresh random
-permutation of the nodes, with activations visible immediately within
-the sweep. One routine, ``_step``, runs every step of both as
-rank-ordered rounds. The candidates are the inactive nodes with an
-active neighbor; each round activates those that pass on what they can
-see, and passes each new activation on only to inactive neighbors later
-in the permutation. A visit sees exactly the activations of lower rank
-and counts only grow, so the rounds match a node-by-node sweep. A
-synchronous step sees nothing within the step: it is the first round.
+Asynchronous: one time step is a full sweep over the nodes in a fresh
+random order, with activations visible immediately within the sweep:
+each node draws a uniform key, ``rng.random(n)``, and the sweep visits
+the nodes by ascending ``(key, node id)``. Ties go to the lower id, so
+a sweep is always node-by-node; they have chance at most n**2 * 2**-54
+per step, and apart from them the order is a uniform permutation. One
+routine, ``_step``, runs every step of both as key-ordered rounds. The
+candidates are the inactive nodes with an active neighbor; each round
+activates those that pass on what they can see, and passes each new
+activation on only to inactive neighbors later in the order. A visit
+sees exactly the activations before it and counts only grow, so the
+rounds match a node-by-node sweep. A synchronous step sees nothing
+within the step: it is the first round.
 
 ``CascadeState.activation_time`` is the one activation record: the step
 at which each node turned on, NEVER while it is off. The active set and
@@ -176,23 +180,24 @@ def initial_state(net: Network, seeds: np.ndarray) -> CascadeState:
     )
 
 
-def _step(net: Network, state: CascadeState, phi: float, rank: np.ndarray | None) -> CascadeState:
-    """One time step in rank-ordered rounds (see the module docstring).
+def _step(net: Network, state: CascadeState, phi: float, key: np.ndarray | None) -> CascadeState:
+    """One time step in key-ordered rounds (see the module docstring).
 
     ``visible`` counts the active neighbors a node sees when it decides:
-    the pre-step ones plus the step's activations of lower rank. With
-    ``rank=None`` nothing is seen within the step: one round is the step,
-    and ``visible`` is the pre-step count itself, never written. Each
-    round's neighbor lists are gathered once and give both the next
-    round's candidates and the end-of-step counts.
+    the pre-step ones plus the step's activations that come before it in
+    ``(key, node id)`` order. With ``key=None`` nothing is seen within the
+    step: one round is the step, and ``visible`` is the pre-step count
+    itself, never written. Each round's neighbor lists are gathered once
+    and give both the next round's candidates and the end-of-step counts.
     """
     t = state.t + 1
     activation_time = state.activation_time.copy()
     counts = state.active_neighbor_counts
-    visible = counts if rank is None else counts.copy()
+    visible = counts if key is None else counts.copy()
     candidates = np.flatnonzero((visible > 0) & (activation_time == NEVER))
     none = np.empty(0, dtype=np.int64)
     rounds, reached = [none], [none]
+    stamp = None if key is None else np.empty(net.n_nodes, dtype=np.int64)
     while candidates.size:
         newly = candidates[visible[candidates] / net.degrees[candidates] >= phi]
         if newly.size == 0:
@@ -201,13 +206,19 @@ def _step(net: Network, state: CascadeState, phi: float, rank: np.ndarray | None
         targets = net.neighbors(newly)
         rounds.append(newly)
         reached.append(targets)
-        if rank is None:
+        if key is None:
             break
-        source_rank = np.repeat(rank[newly], net.degrees[newly])
-        later = targets[(activation_time[targets] == NEVER) & (rank[targets] > source_rank)]
-        # Each distinct node in ``later`` is one candidate, hit once per occurrence.
-        candidates, hits = np.unique(later, return_counts=True)
-        visible[candidates] += hits
+        source = np.repeat(newly, net.degrees[newly])
+        source_key, target_key = key[source], key[targets]
+        after = (target_key > source_key) | ((target_key == source_key) & (targets > source))
+        later = targets[after & (activation_time[targets] == NEVER)]
+        # Each occurrence in ``later`` is one hit. Whichever write to a node's
+        # ``stamp`` lands names one of its positions, so each distinct node
+        # is kept once as a candidate; no later step depends on their order.
+        np.add.at(visible, later, 1)
+        position = np.arange(later.size)
+        stamp[later] = position
+        candidates = later[stamp[later] == position]
     counts = counts + np.bincount(np.concatenate(reached), minlength=net.n_nodes)
     return CascadeState(activation_time=activation_time, t=t, newly_activated=np.sort(np.concatenate(rounds)),
                         active_neighbor_counts=counts)
@@ -229,13 +240,12 @@ def step_synchronous(net: Network, state: CascadeState, phi: float) -> CascadeSt
 def step_asynchronous(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
     """One full sweep in a fresh random node order, updates visible immediately.
 
-    The same as visiting the nodes one at a time in the order
-    ``rng.permutation(n)``; ``_step`` runs the sweep as rank-ordered rounds.
+    Draws one key per node, ``rng.random(n)``, and is the same as visiting
+    the nodes one at a time by ascending ``(key, node id)``: tied keys
+    (chance at most n**2 * 2**-54) go to the lower id. ``_step`` runs the
+    sweep as key-ordered rounds.
     """
-    n = net.n_nodes
-    rank = np.empty(n, dtype=np.int64)
-    rank[rng.permutation(n)] = np.arange(n)
-    return _step(net, state, phi, rank)
+    return _step(net, state, phi, rng.random(net.n_nodes))
 
 
 def run_cascade(net: Network, params: CascadeParams, rng: np.random.Generator) -> CascadeOutcome:

@@ -169,9 +169,10 @@ def sequential_sync_step(net: Network, state: CascadeState, phi: float) -> Casca
 def sequential_async_sweep(net: Network, state: CascadeState, phi: float, rng: np.random.Generator) -> CascadeState:
     """Oracle: one asynchronous sweep, visiting the nodes one at a time.
 
-    Walks ``rng.permutation(n)`` in order; each node decides on the counts
-    as they stand at its visit, and an activation updates its neighbors'
-    counts at once. Draws from ``rng`` exactly as the engine does.
+    Draws one key per node, ``rng.random(n)``, exactly as the engine does,
+    and walks the nodes by ascending (key, node id); each node decides on
+    the counts as they stand at its visit, and an activation updates its
+    neighbors' counts at once.
     """
     t = state.t + 1
     activation_time = state.activation_time.copy()
@@ -179,7 +180,7 @@ def sequential_async_sweep(net: Network, state: CascadeState, phi: float, rng: n
     degrees = net.degrees
     indptr, indices = net.adj_indptr, net.adj_indices
     newly = []
-    for v in rng.permutation(net.n_nodes):
+    for v in np.lexsort((np.arange(net.n_nodes), rng.random(net.n_nodes))):
         c = counts[v]
         if c == 0 or activation_time[v] != NEVER:
             continue

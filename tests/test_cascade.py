@@ -62,6 +62,41 @@ def assert_async_dominates_sync(net, seeds, phi: float, rng_seed: int) -> None:
     assert np.all(aso.activation_time[woke] <= sync.activation_time[woke])
 
 
+class TiedKeys:
+    """Generator stand-in whose keys take only the values 0, 1/3 and 2/3.
+
+    Most keys tie, so the node-id tie-break decides most of the visit
+    order; continuous keys never tie and would not notice it missing.
+    """
+
+    def __init__(self, seed: int):
+        self.inner = np.random.default_rng(seed)
+        self.bit_generator = self.inner.bit_generator
+
+    def random(self, n: int) -> np.ndarray:
+        return np.floor(3 * self.inner.random(n)) / 3
+
+
+def assert_sweeps_match_oracle(make_rng, trials: int) -> None:
+    """Engine and node-by-node sweep agree on every state field and on the
+    rng state after each of 1-7 sweeps, over random small networks, linked
+    and unlinked, so runs cut short by a small step budget are covered as
+    well as finished ones. ``make_rng(seed)`` gives each side its keys."""
+    for trial in range(trials):
+        g = np.random.default_rng(900 + trial)
+        net = random_test_network(g, linked=trial % 2 == 1)
+        phi = float(g.choice([0.0, 0.5, 1.0, g.uniform()]))
+        fast = slow = initial_state(net, np.array(random_seeds(g, net.n_nodes)))
+        rng_fast, rng_slow = make_rng(trial), make_rng(trial)
+        for _ in range(int(g.integers(1, 8))):
+            fast = step_asynchronous(net, fast, phi, rng_fast)
+            slow = sequential_async_sweep(net, slow, phi, rng_slow)
+            np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
+            np.testing.assert_array_equal(fast.newly_activated, slow.newly_activated)
+            np.testing.assert_array_equal(fast.active_neighbor_counts, slow.active_neighbor_counts)
+            assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
+
 class TestSelectSeed:
     def test_single(self, rng):
         net = network_from_edges(10, [(0, 1)])
@@ -223,8 +258,8 @@ class TestAsynchronousStep:
         net = path_network(3)
         hit_fast = hit_slow = False
         for seed in range(40):
-            perm = np.random.default_rng(seed).permutation(3).tolist()
-            one_first = perm.index(1) < perm.index(2)
+            order = np.lexsort((np.arange(3), np.random.default_rng(seed).random(3))).tolist()
+            one_first = order.index(1) < order.index(2)
             state = initial_state(net, np.array([0]))
             state = step_asynchronous(net, state, 0.5, np.random.default_rng(seed))
             if one_first:
@@ -236,22 +271,22 @@ class TestAsynchronousStep:
         assert hit_fast and hit_slow
 
     def test_matches_sequential_sweep(self):
-        # Oracle: the node-by-node sweep. Every state field and the rng
-        # state agree after each of 1-7 sweeps, so runs cut short by a
-        # small step budget are covered as well as finished ones.
-        for trial in range(320):
-            g = np.random.default_rng(900 + trial)
-            net = random_test_network(g, linked=trial % 2 == 1)
-            phi = float(g.choice([0.0, 0.5, 1.0, g.uniform()]))
-            fast = slow = initial_state(net, np.array(random_seeds(g, net.n_nodes)))
-            rng_fast, rng_slow = np.random.default_rng(trial), np.random.default_rng(trial)
-            for _ in range(int(g.integers(1, 8))):
-                fast = step_asynchronous(net, fast, phi, rng_fast)
-                slow = sequential_async_sweep(net, slow, phi, rng_slow)
-                np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
-                np.testing.assert_array_equal(fast.newly_activated, slow.newly_activated)
-                np.testing.assert_array_equal(fast.active_neighbor_counts, slow.active_neighbor_counts)
-                assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+        assert_sweeps_match_oracle(np.random.default_rng, 320)
+
+    def test_tied_keys_go_to_the_lower_id(self):
+        assert_sweeps_match_oracle(TiedKeys, 320)
+
+    def test_draws_one_key_per_node(self):
+        # The stream contract: a sweep advances the generator exactly as one
+        # rng.random(n) does, and a synchronous run draws nothing at all.
+        net = random_test_network(np.random.default_rng(1), linked=True)
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        step_asynchronous(net, initial_state(net, np.array([0])), 0.5, rng)
+        ref.random(net.n_nodes)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        before = rng.bit_generator.state
+        run_cascade(net, CascadeParams(phi=0.0, seed_spec=SeedSpec.explicit([0])), rng)
+        assert rng.bit_generator.state == before
 
 
 class TestRunCascade:
@@ -422,6 +457,23 @@ class TestReferenceScale:
         assert fast.is_global and not fast.stalled and not slow.stalled
         np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
         assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
+    def test_async_steps_match_sequential_sweep(self):
+        # Rounds at this scale often reach one node from several sources, so
+        # the hit counts and the distinct candidates are both exercised.
+        for k in range(3):
+            g = np.random.default_rng(250 + k)
+            net = build_rgg(sample_points(2500, 500.0, g), 16.0, 500.0, BoundaryMode.TORUS)
+            net = add_long_range_links(net, LinkScheme.uniform(0.01), g)
+            seeds = np.union1d([k], net.neighbors(k))
+            fast = slow = initial_state(net, seeds)
+            rng_fast, rng_slow = np.random.default_rng(k), np.random.default_rng(k)
+            while slow.newly_activated.size:  # the seeds, at t=0
+                fast = step_asynchronous(net, fast, 0.12, rng_fast)
+                slow = sequential_async_sweep(net, slow, 0.12, rng_slow)
+                np.testing.assert_array_equal(fast.activation_time, slow.activation_time)
+                np.testing.assert_array_equal(fast.active_neighbor_counts, slow.active_neighbor_counts)
+            assert slow.active.mean() > 0.85 and slow.t > 5
 
     @pytest.mark.parametrize("phi", [0.0, 0.12])
     def test_async_dominates_sync(self, reference_networks, phi):
