@@ -142,6 +142,17 @@ class CascadeOutcome:
         return (self.activation_time != NEVER) & (self.activation_time <= t)
 
 
+def draw_single_seed(n_nodes: int, rng: np.random.Generator) -> int:
+    """The single seed rule's one draw: a uniform node id in [0, n_nodes)."""
+    return int(rng.integers(0, n_nodes))
+
+
+def meets_threshold(visible, degrees, phi: float) -> np.ndarray:
+    """The threshold test of nodes that see ``visible`` active neighbors
+    among ``degrees``: visible / degree >= phi."""
+    return visible / degrees >= phi
+
+
 def select_seed(net: Network, spec: SeedSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw the initially active node set.
 
@@ -150,7 +161,7 @@ def select_seed(net: Network, spec: SeedSpec, rng: np.random.Generator) -> np.nd
     """
     n = net.n_nodes
     if spec.rule is SeedRule.SINGLE:
-        return np.array([int(rng.integers(0, n))], dtype=np.int64)
+        return np.array([draw_single_seed(n, rng)], dtype=np.int64)
     if spec.rule is SeedRule.EXPLICIT:
         nodes = np.unique(np.asarray(spec.nodes, dtype=np.int64))
         if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
@@ -199,7 +210,7 @@ def _step(net: Network, state: CascadeState, phi: float, key: np.ndarray | None)
     rounds, reached = [none], [none]
     stamp = None if key is None else np.empty(net.n_nodes, dtype=np.int64)
     while candidates.size:
-        newly = candidates[visible[candidates] / net.degrees[candidates] >= phi]
+        newly = candidates[meets_threshold(visible[candidates], net.degrees[candidates], phi)]
         if newly.size == 0:
             break
         activation_time[newly] = t

@@ -33,14 +33,22 @@ def sample_points(n: int, side: float, rng: np.random.Generator) -> np.ndarray:
     return rng.random((n, 2)) * side
 
 
+def axis_deltas(a, b, side: float, boundary: BoundaryMode) -> np.ndarray:
+    """Elementwise per-axis distances |a - b| between broadcastable arrays of
+    coordinates: on the torus, the minimum of |a - b| and side - |a - b|."""
+    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    if boundary is BoundaryMode.TORUS:
+        delta = np.minimum(delta, side - delta)
+    return delta
+
+
 def pair_distances(a: np.ndarray, b: np.ndarray, side: float, boundary: BoundaryMode) -> np.ndarray:
     """Elementwise distances between rows of a and b (broadcastable (..., 2) arrays).
 
     Planar is the ordinary Euclidean distance; torus takes the per-axis
-    minimum of |dx| and side - |dx| before combining, so opposite edges
-    are adjacent.
+    minimum of |dx| and side - |dx| (``axis_deltas``) before combining, so
+    opposite edges are adjacent. A distance is never below either of its
+    per-axis deltas.
     """
-    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    if boundary is BoundaryMode.TORUS:
-        delta = np.minimum(delta, side - delta)
+    delta = axis_deltas(a, b, side, boundary)
     return np.hypot(delta[..., 0], delta[..., 1])

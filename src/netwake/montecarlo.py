@@ -8,7 +8,12 @@ from the swept parameter values, not grid position: swapping axes
 permutes rows without changing any cell.
 
 ``run_replicate`` is the one replicate pipeline: ``run_replicates``
-aggregates it and ``netwake run`` prints replicate 0 of it. With more
+aggregates it and ``netwake run`` prints replicate 0 of it. In front of
+it, aggregation asks one pre-check, ``_wakes_nobody``: a replicate with
+no long links, a single seed, R > 0 and no torus-wrap warning whose seed
+provably wakes none of its neighbors at step 1 is summarized from the
+seed's 2R neighborhood alone, without building its network; the
+summary is the one ``run_replicate`` would give. With more
 than one job, ``sweep`` starts one process pool of min(n_jobs, n_runs)
 workers for the whole grid, and each cell sends that pool one
 contiguous chunk of replicates per worker. ``window_boundaries`` is
@@ -31,15 +36,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import CascadeOutcome, CascadeParams, is_integer, run_cascade
-from .energy import EnergyModel, EnergyReport, account_cascade
+from .cascade import (CascadeOutcome, CascadeParams, SeedRule, draw_single_seed, is_integer, meets_threshold,
+                      run_cascade)
+from .energy import EnergyModel, EnergyReport, account_cascade, local_broadcast_energy
 from .errors import EstimationError, ExperimentInfeasibleError, LinkSamplingError, SeedingError
-from .geometry import BoundaryMode, sample_points
-from .network import Network, build_rgg
+from .geometry import BoundaryMode, axis_deltas, pair_distances, sample_points
+from .network import SCREEN_SLACK, Network, build_rgg, wrap_is_ambiguous
 from .smallworld import LinkScheme, add_long_range_links
 
 #: Parameter names accepted as sweep axes, mapped onto config fields below.
 SWEEPABLE = ("phi", "R", "p_r", "d_c", "delta", "n_nodes")
+
+# Most node pairs whose distances ``_seed_neighborhood`` takes at once.
+_PROBE_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,7 +233,65 @@ class _Summary:
     d_bar: float | None = None
 
 
+def _seed_neighborhood(points: np.ndarray, seed: int, radius: float, side: float,
+                       boundary: BoundaryMode) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbors of node ``seed`` under ``build_rgg``'s edge rule, ascending,
+    and their degrees, from the points alone.
+
+    A neighbor is a node v != seed with ``pair_distances`` <= radius. By the
+    triangle inequality every neighbor of a neighbor lies within 2 * radius
+    of the seed, so the degrees are counted within that ball. It is widened
+    by SCREEN_SLACK, relative, for the rounding of the distances, and by 4
+    ulp of side, absolute, since a torus wrap rounds a delta by up to half
+    an ulp of side. Only the nodes whose x delta to the seed is within the
+    ball's radius are measured: a distance is never below its x delta.
+    """
+    reach = 2 * radius * (1 + SCREEN_SLACK) + 4 * np.spacing(side)
+    near = np.flatnonzero(axis_deltas(points[:, 0], points[seed, 0], side, boundary) <= reach)
+    dist = pair_distances(points[near], points[seed], side, boundary)
+    nbrs = near[dist <= radius]
+    nbrs = nbrs[nbrs != seed]
+    ball = points[near[dist <= reach]]
+    # Each neighbor lies in the ball itself, at distance 0: hence the - 1.
+    rows = max(1, _PROBE_PAIRS // len(ball))
+    degrees = [np.count_nonzero(pair_distances(points[chunk, None], ball, side, boundary) <= radius, axis=1) - 1
+               for chunk in np.split(nbrs, np.arange(rows, nbrs.size, rows))]
+    return nbrs, np.concatenate(degrees)
+
+
+def _wakes_nobody(cfg: ExperimentConfig, index: int) -> bool:
+    """Whether replicate ``index``'s cascade provably stops at its seed,
+    decided without building the network.
+
+    Only a replicate with no long links (they draw from the stream before
+    the seed, and need the network), the single seed rule, R > 0 and no
+    torus-wrap warning from ``build_rgg`` is decided; any other returns
+    False. Its points and seed are drawn exactly as ``run_replicate`` draws
+    them. Step 1 of either schedule tests exactly the seed's neighbors,
+    each seeing one active neighbor; if none passes the threshold, the step
+    activates nobody and the cascade stops (an asynchronous step's keys
+    feed nothing).
+    """
+    radius = cfg.radio_range
+    if (cfg.scheme.p_r > 0 or cfg.cascade.seed_spec.rule is not SeedRule.SINGLE or not radius > 0
+            or wrap_is_ambiguous(radius, cfg.side, cfg.boundary)):
+        return False
+    rng = replicate_rng(cfg.master_seed, index)
+    points = sample_points(cfg.n_nodes, cfg.side, rng)
+    seed = draw_single_seed(cfg.n_nodes, rng)
+    _, degrees = _seed_neighborhood(points, seed, radius, cfg.side, cfg.boundary)
+    return not meets_threshold(1, degrees, cfg.phi).any()
+
+
 def _summarize(cfg: ExperimentConfig, index: int) -> _Summary:
+    """What aggregation keeps of replicate ``index``: the summary of
+    ``run_replicate``, or, where ``_wakes_nobody`` holds, the same summary
+    of a cascade that activated its seed alone at time 0: one local
+    broadcast of energy, no long links."""
+    if _wakes_nobody(cfg, index):
+        share = 1 / cfg.n_nodes
+        return _Summary(success=share >= cfg.cascade.cutoff_fraction, final_fraction=share,
+                        energy=local_broadcast_energy(cfg.energy_model()))
     try:
         rep = run_replicate(cfg, index)
     except SeedingError:

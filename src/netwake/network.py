@@ -44,6 +44,10 @@ from .geometry import BoundaryMode, pair_distances
 # configuration. A sweep over R or N replaces them instead of piling up.
 _TABLES_KEPT = 2
 
+# Relative slack of build_rgg's squared-distance screen: far above the few
+# ulp by which the squares round.
+SCREEN_SLACK = 1e-9
+
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate [s, s+c) integer ranges without a Python loop.
@@ -315,6 +319,11 @@ def _checked_deployment(points, side: float, radio_range: float) -> np.ndarray:
     return positions
 
 
+def wrap_is_ambiguous(radio_range: float, side: float, boundary: BoundaryMode) -> bool:
+    """Whether the range exceeds half a torus side, where ``build_rgg`` warns."""
+    return boundary is BoundaryMode.TORUS and radio_range > side / 2
+
+
 def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: BoundaryMode) -> Network:
     """Build the random geometric network over the given positions.
 
@@ -327,14 +336,14 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
     d2 = dx*dx + dy*dy, a pair with d2 <= R*R*(1 - 1e-9) is an edge and a
     pair with d2 > R*R*(1 + 1e-9) is not: the deltas are bit-equal to the
     ones ``pair_distances`` takes, and the squares round by a few ulp, far
-    below the 1e-9 slack. Only the thin shell between the two goes to
-    ``pair_distances`` <= radio_range, the one metric. Where R*R*(1 - 1e-9)
+    below the 1e-9 slack, ``SCREEN_SLACK``. Only the thin shell between the
+    two goes to ``pair_distances`` <= radio_range, the one metric. Where R*R*(1 - 1e-9)
     is below 1e-290 or infinite, the squares can underflow or overflow, so
     the screen decides nothing and every candidate goes to
     ``pair_distances``.
     """
     positions = _checked_deployment(points, side, radio_range)
-    if boundary is BoundaryMode.TORUS and radio_range > side / 2:
+    if wrap_is_ambiguous(radio_range, side, boundary):
         warnings.warn(
             f"radio range {radio_range} exceeds half the region side {side}; "
             "torus wrap makes near and far neighbors ambiguous",
@@ -345,7 +354,7 @@ def build_rgg(points: np.ndarray, radio_range: float, side: float, boundary: Bou
     grid = CellGrid(positions, side, boundary, radio_range)
     x, y = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
     square = radio_range * radio_range
-    inner, outer = square * (1 - 1e-9), square * (1 + 1e-9)
+    inner, outer = square * (1 - SCREEN_SLACK), square * (1 + SCREEN_SLACK)
     if not 1e-290 <= inner < math.inf:
         inner, outer = -1.0, math.inf
     edges_u = [np.empty(0, dtype=np.int64)]

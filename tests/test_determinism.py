@@ -10,8 +10,11 @@ crossing routine; the ``run`` digests (summary, long-link lengths,
 were measured only for the placed links. The ``stalled`` digest, the
 only asynchronous output, was pinned again when a sweep's visit order
 changed from ``rng.permutation(n)`` to one ``rng.random(n)`` key per node;
-that run still prints ``stalled: true``. None may move unless a change
-is meant to alter outputs (say so in CHANGES.md when it is).
+that run still prints ``stalled: true``. The ``idle`` digest, an
+asynchronous planar sweep whose above-window cells hold single seeds
+that wake nobody, was computed at commit 4f3a65e, before such replicates
+skipped their network build. None may move unless a change is meant to
+alter outputs (say so in CHANGES.md when it is).
 """
 
 import hashlib
@@ -74,7 +77,29 @@ sweep {
 }
 """
 
+# Asynchronous, on the plane, no long links: at phi = 0.3 and R = 14 or 24
+# most single seeds wake nobody, while the other cells cascade or die out
+# later.
+IDLE = """
+phi = 0.1
+R = 12
+n_nodes = 400
+L = 200
+boundary = planar
+schedule = asynchronous
+n_runs = 8
+master_seed = 31
+
+sweep {
+    axis1 = phi
+    values1 = 0.05, 0.3
+    axis2 = R
+    values2 = 8, 14, 24
+}
+"""
+
 DIGESTS = {
+    "idle": ("sweep", IDLE, "872792a52004f9e7513d6986d6dbfe389ceff70358c289847ef1f7862c0afac1"),
     "plain": ("sweep", PLAIN, "7c213b8757a5ab908f79fb064e624b050f5112459d702389779884f668ce3d6c"),
     "powerlaw": ("sweep", POWERLAW,
                  "171cc16e2bea513c17ba133d472dae50b0fcc70b9483e3696096cf07cb078521"),

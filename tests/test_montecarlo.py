@@ -1,11 +1,12 @@
 import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from netwake import montecarlo
-from netwake.cascade import CascadeParams, SeedSpec
+from netwake.cascade import CascadeParams, Schedule, SeedSpec
 from netwake.errors import EstimationError, ExperimentInfeasibleError
 from netwake.geometry import BoundaryMode, sample_points
 from netwake.montecarlo import (
@@ -427,6 +428,154 @@ class TestWindowBoundaries:
                          for phi, ps in self.CLEAN.items()]
         assert exponent == fit_boundary_exponent(list(self.CLEAN), [row[2] for row in table])
         assert reason is None
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call montecarlo makes to its ``name``."""
+    calls = []
+    original = getattr(montecarlo, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, name, counting)
+    return calls
+
+
+class TestIdleSeed:
+    """A single seed that wakes nobody is summarized without a network build."""
+
+    @pytest.mark.parametrize("pairs", [montecarlo._PROBE_PAIRS, 7])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("radio", [3.0, 10.0, 23.5, float(np.nextafter(50.0, 0.0))])
+    def test_neighborhood_matches_build_rgg(self, monkeypatch, boundary, radio, pairs):
+        # With 300 nodes on a side of 100, R = 10 is exactly the build grid's
+        # cell width and R just below 50 is just below half the side.
+        monkeypatch.setattr(montecarlo, "_PROBE_PAIRS", pairs)
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            pts = sample_points(300, 100.0, rng)
+            net = build_rgg(pts, radio, 100.0, boundary)
+            for seed in rng.choice(300, size=12, replace=False):
+                nbrs, degrees = montecarlo._seed_neighborhood(pts, int(seed), radio, 100.0, boundary)
+                np.testing.assert_array_equal(nbrs, net.neighbors(int(seed)))
+                np.testing.assert_array_equal(degrees, net.degrees[nbrs])
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_neighborhood_across_the_torus_corner_at_a_tiny_range(self, boundary):
+        # Near the corner a wrapped delta rounds by up to half an ulp of the
+        # side, a fair share of a range this small.
+        side, radio = 1000.0, 1e-10
+        rng = np.random.default_rng(43)
+        pts = (rng.uniform(-3 * radio, 3 * radio, size=(200, 2)) % side)
+        pts[pts >= side] = 0.0
+        net = build_rgg(pts, radio, side, boundary)
+        for seed in range(200):
+            nbrs, degrees = montecarlo._seed_neighborhood(pts, seed, radio, side, boundary)
+            np.testing.assert_array_equal(nbrs, net.neighbors(seed))
+            np.testing.assert_array_equal(degrees, net.degrees[nbrs])
+
+    @staticmethod
+    def check_against_run_replicate(monkeypatch, configs) -> tuple[int, int]:
+        """Every replicate's summary equals the one built from its
+        ``run_replicate``, and it skips the network exactly when no neighbor
+        of its seed meets the threshold. Returns (skipped, built) counts."""
+        built = count_calls(monkeypatch, "run_replicate")
+        skipped = total = 0
+        for cfg in configs:
+            for i in range(cfg.n_runs):
+                before = len(built)
+                summary = montecarlo._summarize(cfg, i)
+                idle = len(built) == before
+                rep = montecarlo.run_replicate(cfg, i)
+                out = rep.outcome
+                assert summary == montecarlo._Summary(
+                    stalled=out.stalled, success=out.is_global and not out.stalled,
+                    final_fraction=out.final_fraction, time=out.time,
+                    energy=rep.report.total_energy, d_bar=None), (cfg, i)
+                seed = int(out.seed[0])
+                nbrs = rep.net.neighbors(seed)
+                assert idle == (not np.any(1 / rep.net.degrees[nbrs] >= cfg.phi)), (cfg, i)
+                skipped += idle
+                total += 1
+        return skipped, total - skipped
+
+    def test_summaries_match_run_replicate(self, monkeypatch):
+        # 50 nodes on a side of 100: from isolated seeds at R = 2 to a mean
+        # degree of ~32 at R = 45.
+        configs = [
+            ExperimentConfig(phi=phi, radio_range=radio, n_nodes=50, side=100.0, boundary=boundary,
+                             cascade=CascadeParams(phi=phi, schedule=schedule), n_runs=6, master_seed=8)
+            for phi in (0.0, 0.05, 0.2, 0.5, 1.0)
+            for radio in (2.0, 8.0, 15.0, 25.0, 45.0)
+            for boundary in BoundaryMode
+            for schedule in Schedule
+        ]
+        skipped, built = self.check_against_run_replicate(monkeypatch, configs)
+        assert skipped > 100 and built > 100
+
+    def test_summaries_match_run_replicate_at_low_cutoffs(self, monkeypatch):
+        # At a cutoff of 1/N or below a seed alone is a global cascade, and
+        # a lone node is one at any cutoff.
+        configs = [
+            ExperimentConfig(phi=phi, radio_range=radio, n_nodes=50, side=100.0, boundary=boundary,
+                             cascade=CascadeParams(phi=phi, schedule=schedule, cutoff_fraction=cutoff),
+                             n_runs=6, master_seed=9)
+            for phi in (0.2, 0.5)
+            for radio in (8.0, 25.0)
+            for boundary in BoundaryMode
+            for schedule in Schedule
+            for cutoff in (1 / 50, 0.01)
+        ]
+        configs += [ExperimentConfig(phi=phi, radio_range=10.0, n_nodes=1, side=100.0, boundary=boundary,
+                                     n_runs=2, master_seed=10)
+                    for phi in (0.0, 1.0) for boundary in BoundaryMode]
+        skipped, built = self.check_against_run_replicate(monkeypatch, configs)
+        assert skipped > 20 and built > 20
+        lone = montecarlo._summarize(configs[-1], 0)
+        assert (lone.success, lone.final_fraction, lone.energy) == (True, 1.0, 100.0)
+
+    # Above the window: at phi = 0.25 and R = 32 most single seeds wake nobody.
+    ABOVE = dict(phi=0.25, radio_range=32.0, n_nodes=2500, side=500.0, n_runs=8, master_seed=5)
+
+    def test_idle_seeds_skip_the_build(self, monkeypatch):
+        builds = count_calls(monkeypatch, "build_rgg")
+        run_replicates(ExperimentConfig(**self.ABOVE))
+        assert len(builds) < self.ABOVE["n_runs"]
+
+    @pytest.mark.parametrize("changes", [
+        dict(scheme=LinkScheme.uniform(0.01)),
+        dict(cascade=CascadeParams(phi=0.25, seed_spec=SeedSpec.triple())),
+        dict(cascade=CascadeParams(phi=0.25, seed_spec=SeedSpec.explicit([0]))),
+    ], ids=["links", "triple", "explicit"])
+    def test_other_replicates_build_once_each(self, monkeypatch, changes):
+        builds = count_calls(monkeypatch, "build_rgg")
+        cfg = ExperimentConfig(**{**self.ABOVE, **changes})
+        stats = run_replicates(cfg)
+        assert len(builds) == cfg.n_runs and stats.n_infeasible == 0
+
+    def test_zero_range_still_fails_seeding(self, monkeypatch):
+        runs = count_calls(monkeypatch, "run_replicate")
+        cfg = ExperimentConfig(**{**self.ABOVE, "radio_range": 0.0})
+        assert [montecarlo._summarize(cfg, i) for i in range(cfg.n_runs)] == \
+            [montecarlo._Summary(infeasible="seeding")] * cfg.n_runs
+        assert len(runs) == cfg.n_runs
+
+    def test_range_beyond_half_the_torus_builds_and_warns(self, monkeypatch):
+        # On the plane the same dense cell is idle; on the torus R > L/2
+        # takes the full path, so the warning still reaches a sweep.
+        cfg = ExperimentConfig(phi=0.5, radio_range=31.0, n_nodes=100, side=60.0,
+                               boundary=BoundaryMode.PLANAR, n_runs=4, master_seed=6)
+        builds = count_calls(monkeypatch, "build_rgg")
+        run_replicates(cfg)
+        assert len(builds) == 0
+        torus = replace(cfg, boundary=BoundaryMode.TORUS)
+        with pytest.raises(RuntimeWarning, match="exceeds half the region side"):
+            run_replicates(torus)
+        with pytest.warns(RuntimeWarning):
+            run_replicates(torus)
+        assert len(builds) == 1 + torus.n_runs
 
 
 class TestCascadeWindowPhysics:
