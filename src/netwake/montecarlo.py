@@ -15,8 +15,10 @@ provably wakes none of its neighbors at step 1 is summarized from the
 seed's 2R neighborhood alone, without building its network; the
 summary is the one ``run_replicate`` would give. With more
 than one job, ``sweep`` starts one process pool of min(n_jobs, n_runs)
-workers for the whole grid, and each cell sends that pool one
-contiguous chunk of replicates per worker. ``window_boundaries`` is
+workers for the whole grid and sends it every cell's replicates, one
+contiguous chunk per worker per cell, before it aggregates any cell;
+it then aggregates the cells in grid order while the workers run on,
+so no worker waits between cells. ``window_boundaries`` is
 the one transition pipeline: it reads the cascade window (onset, upper
 boundary, boundary exponent) off sweep rows for ``netwake transition``
 and the acceptance criteria alike. The range
@@ -31,6 +33,7 @@ import contextlib
 import hashlib
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -318,26 +321,36 @@ def _mean_se(values: list) -> tuple[float | None, float | None]:
     return float(values.mean()), se
 
 
+def _send(pool: ProcessPoolExecutor, cfg: ExperimentConfig, workers: int) -> Iterator[_Summary]:
+    """Send cfg's replicates to ``pool`` in contiguous chunks of
+    ceil(n_runs / workers), at most one per worker, and return the lazy
+    iterator of their summaries in replicate order. ``Executor.map``
+    submits every chunk before it returns."""
+    n = cfg.n_runs
+    return pool.map(_summarize, itertools.repeat(cfg, n), range(n), chunksize=math.ceil(n / workers))
+
+
 def run_replicates(cfg: ExperimentConfig, n_jobs: int = 1,
-                   pool: ProcessPoolExecutor | None = None) -> ReplicateStats:
+                   summaries: Iterable[_Summary] | None = None) -> ReplicateStats:
     """Run cfg.n_runs independent replicates and aggregate.
 
-    With n_jobs > 1 ``Executor.map`` sends the replicates in contiguous
-    chunks of ceil(n_runs / workers), at most one per worker, where
-    workers = min(n_jobs, n_runs): to ``pool`` when given (it should have
-    that many workers) or else to a pool started and joined for this call.
-    Results are identical for any n_jobs: replicate i always uses the
-    stream derived from (master_seed, i), and aggregation is over the
-    ordered result list.
+    ``summaries``, when given, is the iterator ``_send`` returned for
+    cfg: the replicates already run, or running, on a pool, and only
+    aggregated here. Otherwise, with n_jobs > 1, a pool of workers =
+    min(n_jobs, n_runs) is started and joined for this call, and the
+    replicates are sent to it in contiguous chunks of ceil(n_runs /
+    workers), at most one per worker. Results are identical for any
+    n_jobs: replicate i always uses the stream derived from
+    (master_seed, i), and aggregation is over the ordered result list.
     """
+    if summaries is not None:
+        return _aggregate(list(summaries))
     n = cfg.n_runs
     workers = min(n_jobs, n)
     if workers < 2:
         return _aggregate([_summarize(cfg, i) for i in range(n)])
-    with (ProcessPoolExecutor(max_workers=workers) if pool is None
-          else contextlib.nullcontext(pool)) as executor:
-        return _aggregate(list(executor.map(_summarize, itertools.repeat(cfg, n), range(n),
-                                            chunksize=math.ceil(n / workers))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _aggregate(list(_send(pool, cfg, workers)))
 
 
 def _aggregate(results: list[_Summary]) -> ReplicateStats:
@@ -377,28 +390,40 @@ def sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     aborts the rest of the grid. Any other error propagates.
 
     With n_jobs > 1 (and more than one run per cell) one process pool of
-    min(n_jobs, n_runs) workers serves every cell; each cell is still one
-    ``run_replicates`` call, and the pool is joined before this returns
-    or raises.
+    min(n_jobs, n_runs) workers serves every cell: every cell's
+    replicates are sent to it up front, and each cell is then aggregated
+    by one ``run_replicates`` call, in grid order. An error leaving this
+    call cancels the chunks not yet started, and the pool is joined
+    before this returns or raises.
     """
     axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
+    cells = []
+    for values in itertools.product(*(axis.values for axis in axes)):
+        v1, v2 = values if spec.axis2 is not None else (*values, None)
+        try:
+            cfg, error = cell_config(spec.base, {axis.name: v for axis, v in zip(axes, values)}), None
+        except ValueError as exc:
+            cfg, error = None, str(exc)
+        cells.append((v1, v2, cfg, error))
     rows: list[SweepRow] = []
     workers = min(n_jobs, spec.base.n_runs)  # n_runs is not sweepable: every cell has it
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        for values in itertools.product(*(axis.values for axis in axes)):
-            v1, v2 = values if spec.axis2 is not None else (*values, None)
-            stats = error = None
-            try:
-                cfg = cell_config(spec.base, {axis.name: v for axis, v in zip(axes, values)})
-            except ValueError as exc:
-                error = str(exc)
-            else:
-                try:
-                    stats = run_replicates(cfg, n_jobs=n_jobs, pool=pool)
-                except ExperimentInfeasibleError as exc:
-                    error = str(exc)
-            rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=stats, error=error))
+        try:
+            sent = [None if pool is None or cfg is None else _send(pool, cfg, workers)
+                    for _, _, cfg, _ in cells]
+            for (v1, v2, cfg, error), summaries in zip(cells, sent):
+                stats = None
+                if cfg is not None:
+                    try:
+                        stats = run_replicates(cfg, n_jobs=n_jobs, summaries=summaries)
+                    except ExperimentInfeasibleError as exc:
+                        error = str(exc)
+                rows.append(SweepRow(axis1_value=v1, axis2_value=v2, stats=stats, error=error))
+        except BaseException:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            raise
     return rows
 
 

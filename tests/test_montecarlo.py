@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,9 @@ from netwake.network import build_rgg
 from netwake.smallworld import LinkScheme
 
 from conftest import components, giant_fraction
+
+forked_workers = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                                    reason="workers see the patched module only when forked")
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -189,13 +193,14 @@ class TestSweep:
         assert rows[0].stats is None and "seed node ids" in rows[0].error
         assert rows[1].stats is not None
 
-    def test_replicate_errors_are_not_flagged_cells(self, monkeypatch):
+    @pytest.mark.parametrize("n_jobs", [1, pytest.param(2, marks=forked_workers)])
+    def test_replicate_errors_are_not_flagged_cells(self, monkeypatch, n_jobs):
         def broken(*args):
             raise ValueError("broken cascade")
 
         monkeypatch.setattr(montecarlo, "run_cascade", broken)
         with pytest.raises(ValueError, match="broken cascade"):
-            sweep(SweepSpec(base=small_cfg(n_runs=2), axis1=SweepAxis("R", (16.0,))))
+            sweep(SweepSpec(base=small_cfg(n_runs=2), axis1=SweepAxis("R", (16.0,))), n_jobs=n_jobs)
 
     def test_cell_seed_depends_on_values_not_position(self):
         cfg = small_cfg()
@@ -205,38 +210,44 @@ class TestSweep:
         assert two.phi == 0.2 and two.radio_range == 14.0
 
 
-def count_pools(monkeypatch) -> list:
-    """Record the max_workers of every pool montecarlo constructs."""
-    made = []
+def count_pools(monkeypatch) -> tuple[list, list]:
+    """Record the max_workers of every pool montecarlo constructs, and the
+    future of every chunk submitted to one."""
+    made, futures = [], []
 
     class CountingPool(montecarlo.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             made.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-    return made
+    return made, futures
 
 
 class TestSharedPool:
     GRID = dict(axis1=SweepAxis("phi", (0.1, 0.2)), axis2=SweepAxis("R", (14.0, 16.0, 18.0)))
 
     def test_one_pool_per_sweep(self, monkeypatch):
-        made = count_pools(monkeypatch)
-        calls = []
+        made, futures = count_pools(monkeypatch)
+        sent = []
         cell = montecarlo.run_replicates
 
-        def recording(cfg, n_jobs=1, pool=None):
-            calls.append(pool)
-            return cell(cfg, n_jobs=n_jobs, pool=pool)
+        def recording(cfg, n_jobs=1, summaries=None):
+            sent.append(len(futures))
+            return cell(cfg, n_jobs=n_jobs, summaries=summaries)
 
         monkeypatch.setattr(montecarlo, "run_replicates", recording)
         serial = sweep(SweepSpec(base=small_cfg(n_runs=4), **self.GRID))
-        assert made == [] and calls == [None] * 6
-        calls.clear()
+        assert made == [] and sent == [0] * 6
+        sent.clear()
         shared = sweep(SweepSpec(base=small_cfg(n_runs=4), **self.GRID), n_jobs=2)
-        assert made == [2] and len(calls) == 6 and calls[0] is not None
-        assert all(pool is calls[0] for pool in calls)
+        # One aggregation per cell, and the first already finds all six
+        # cells' two chunks sent.
+        assert made == [2] and sent == [12] * 6
         assert shared == serial
         sweep(SweepSpec(base=small_cfg(n_runs=2), **self.GRID), n_jobs=3)
         assert made == [2, 2]
@@ -259,15 +270,22 @@ class TestSharedPool:
         assert sweep(spec, n_jobs=2) == rows
         assert sweep(spec, n_jobs=3) == rows
 
-    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                        reason="workers see the patched cascade only when forked")
+    @forked_workers
     def test_worker_error_propagates_and_joins_the_pool(self, monkeypatch):
-        def broken(*args):
-            raise ValueError("broken cascade")
+        _, futures = count_pools(monkeypatch)
 
-        monkeypatch.setattr(montecarlo, "run_cascade", broken)
-        with pytest.raises(ValueError, match="broken cascade"):
+        def slow_or_broken(cfg, index):
+            if cfg.phi == 0.1 and cfg.radio_range == 14.0:
+                raise ValueError("broken first cell")
+            time.sleep(0.1)
+            return False
+
+        monkeypatch.setattr(montecarlo, "_wakes_nobody", slow_or_broken)
+        with pytest.raises(ValueError, match="broken first cell"):
             sweep(SweepSpec(base=small_cfg(n_runs=4), **self.GRID), n_jobs=2)
+        # The first cell fails at once, every other chunk takes 0.2 s: the
+        # chunks still queued when the error arrives never start.
+        assert len(futures) == 12 and any(f.cancelled() for f in futures)
         assert multiprocessing.active_children() == []
 
 
