@@ -7,13 +7,14 @@ execution order or worker count. Sweep cells likewise derive their seeds
 from the swept parameter values, not grid position: swapping axes
 permutes rows without changing any cell.
 
-``run_replicate`` is the one replicate pipeline: ``run_replicates``
-aggregates it and ``netwake run`` prints replicate 0 of it. In front of
-it, aggregation asks one pre-check, ``_wakes_nobody``: a replicate with
-no long links, a single seed, R > 0 and no torus-wrap warning whose seed
-provably wakes none of its neighbors at step 1 is summarized from the
-seed's 2R neighborhood alone, without building its network; the
-summary is the one ``run_replicate`` would give. With more
+A replicate runs in two stages on one stream: ``_deploy`` draws the
+points, ``_respond`` the network, cascade and energy; ``run_replicate``
+runs both (``netwake run`` prints its replicate 0). Between them,
+aggregation asks ``_wakes_nobody``: a replicate with no long links, a
+single seed and no torus-wrap warning whose seed (peeked at, the stream
+left as it was) provably wakes none of its neighbors at step 1 is
+summarized from the seed's 2R neighborhood alone, without building its
+network; the summary is the one ``run_replicate`` would give. With more
 than one job, ``sweep`` starts one process pool of min(n_jobs, n_runs)
 workers for the whole grid and sends it every cell's replicates, one
 contiguous chunk per worker per cell, before it aggregates any cell;
@@ -203,23 +204,35 @@ class Replicate:
     report: EnergyReport
 
 
-def run_replicate(cfg: ExperimentConfig, index: int) -> Replicate:
-    """Replicate ``index`` of ``cfg``, drawn from its own random stream.
-
-    Raises SeedingError or LinkSamplingError when this replicate cannot
-    host a cascade; a zero radio range counts as a failed seeding, since
-    the energy model needs a positive range.
-    """
+def _deploy(cfg: ExperimentConfig, index: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Replicate ``index``'s own random stream and the points drawn from
+    it; SeedingError for a zero radio range (the energy model needs a
+    positive one)."""
     if not cfg.radio_range > 0:
         raise SeedingError("radio range must be positive to host a cascade")
     rng = replicate_rng(cfg.master_seed, index)
-    points = sample_points(cfg.n_nodes, cfg.side, rng)
+    return rng, sample_points(cfg.n_nodes, cfg.side, rng)
+
+
+def _respond(cfg: ExperimentConfig, rng: np.random.Generator, points: np.ndarray) -> Replicate:
+    """The network over ``points``, its cascade and its energy, drawn on
+    from ``rng`` as ``_deploy`` left it; SeedingError or
+    LinkSamplingError when they cannot host a cascade."""
     net = build_rgg(points, cfg.radio_range, cfg.side, cfg.boundary)
     if cfg.scheme.p_r > 0:
         net = add_long_range_links(net, cfg.scheme, rng)
     outcome = run_cascade(net, cfg.cascade, rng)
     report = account_cascade(net, outcome, cfg.energy_model())
     return Replicate(net, outcome, report)
+
+
+def run_replicate(cfg: ExperimentConfig, index: int) -> Replicate:
+    """Replicate ``index`` of ``cfg``, drawn from its own random stream.
+
+    Raises SeedingError or LinkSamplingError when this replicate cannot
+    host a cascade; a zero radio range counts as a failed seeding.
+    """
+    return _respond(cfg, *_deploy(cfg, index))
 
 
 @dataclass(frozen=True)
@@ -262,41 +275,42 @@ def _seed_neighborhood(points: np.ndarray, seed: int, radius: float, side: float
     return nbrs, np.concatenate(degrees)
 
 
-def _wakes_nobody(cfg: ExperimentConfig, index: int) -> bool:
-    """Whether replicate ``index``'s cascade provably stops at its seed,
-    decided without building the network.
+def _wakes_nobody(cfg: ExperimentConfig, rng: np.random.Generator, points: np.ndarray) -> bool:
+    """Whether the cascade ``_respond`` would run on ``points`` and ``rng``
+    provably stops at its seed, decided without building the network.
 
     Only a replicate with no long links (they draw from the stream before
-    the seed, and need the network), the single seed rule, R > 0 and no
+    the seed, and need the network), the single seed rule and no
     torus-wrap warning from ``build_rgg`` is decided; any other returns
-    False. Its points and seed are drawn exactly as ``run_replicate`` draws
-    them. Step 1 of either schedule tests exactly the seed's neighbors,
-    each seeing one active neighbor; if none passes the threshold, the step
-    activates nobody and the cascade stops (an asynchronous step's keys
-    feed nothing).
+    False. The seed is peeked at: drawn as ``run_cascade`` draws it, then
+    the stream is put back, so ``rng`` is left as it came. Step 1 of
+    either schedule tests exactly the seed's neighbors, each seeing one
+    active neighbor; if none passes the threshold, the step activates
+    nobody and the cascade stops (an asynchronous step's keys feed
+    nothing).
     """
-    radius = cfg.radio_range
-    if (cfg.scheme.p_r > 0 or cfg.cascade.seed_spec.rule is not SeedRule.SINGLE or not radius > 0
-            or wrap_is_ambiguous(radius, cfg.side, cfg.boundary)):
+    if (cfg.scheme.p_r > 0 or cfg.cascade.seed_spec.rule is not SeedRule.SINGLE
+            or wrap_is_ambiguous(cfg.radio_range, cfg.side, cfg.boundary)):
         return False
-    rng = replicate_rng(cfg.master_seed, index)
-    points = sample_points(cfg.n_nodes, cfg.side, rng)
+    state = rng.bit_generator.state
     seed = draw_single_seed(cfg.n_nodes, rng)
-    _, degrees = _seed_neighborhood(points, seed, radius, cfg.side, cfg.boundary)
+    rng.bit_generator.state = state
+    _, degrees = _seed_neighborhood(points, seed, cfg.radio_range, cfg.side, cfg.boundary)
     return not meets_threshold(1, degrees, cfg.phi).any()
 
 
 def _summarize(cfg: ExperimentConfig, index: int) -> _Summary:
-    """What aggregation keeps of replicate ``index``: the summary of
-    ``run_replicate``, or, where ``_wakes_nobody`` holds, the same summary
-    of a cascade that activated its seed alone at time 0: one local
-    broadcast of energy, no long links."""
-    if _wakes_nobody(cfg, index):
-        share = 1 / cfg.n_nodes
-        return _Summary(success=share >= cfg.cascade.cutoff_fraction, final_fraction=share,
-                        energy=local_broadcast_energy(cfg.energy_model()))
+    """What aggregation keeps of replicate ``index``, deployed once: where
+    ``_wakes_nobody`` holds, the summary of a cascade that activated its
+    seed alone at time 0 (one local broadcast of energy, no long links),
+    else that of ``_respond``; either equals ``run_replicate``'s."""
     try:
-        rep = run_replicate(cfg, index)
+        rng, points = _deploy(cfg, index)
+        if _wakes_nobody(cfg, rng, points):
+            share = 1 / cfg.n_nodes
+            return _Summary(success=share >= cfg.cascade.cutoff_fraction, final_fraction=share,
+                            energy=local_broadcast_energy(cfg.energy_model()))
+        rep = _respond(cfg, rng, points)
     except SeedingError:
         return _Summary(infeasible="seeding")
     except LinkSamplingError:

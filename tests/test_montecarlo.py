@@ -274,7 +274,7 @@ class TestSharedPool:
     def test_worker_error_propagates_and_joins_the_pool(self, monkeypatch):
         _, futures = count_pools(monkeypatch)
 
-        def slow_or_broken(cfg, index):
+        def slow_or_broken(cfg, rng, points):
             if cfg.phi == 0.1 and cfg.radio_range == 14.0:
                 raise ValueError("broken first cell")
             time.sleep(0.1)
@@ -499,7 +499,7 @@ class TestIdleSeed:
         """Every replicate's summary equals the one built from its
         ``run_replicate``, and it skips the network exactly when no neighbor
         of its seed meets the threshold. Returns (skipped, built) counts."""
-        built = count_calls(monkeypatch, "run_replicate")
+        built = count_calls(monkeypatch, "build_rgg")
         skipped = total = 0
         for cfg in configs:
             for i in range(cfg.n_runs):
@@ -574,11 +574,23 @@ class TestIdleSeed:
         assert len(builds) == cfg.n_runs and stats.n_infeasible == 0
 
     def test_zero_range_still_fails_seeding(self, monkeypatch):
-        runs = count_calls(monkeypatch, "run_replicate")
+        builds = count_calls(monkeypatch, "build_rgg")
         cfg = ExperimentConfig(**{**self.ABOVE, "radio_range": 0.0})
         assert [montecarlo._summarize(cfg, i) for i in range(cfg.n_runs)] == \
             [montecarlo._Summary(infeasible="seeding")] * cfg.n_runs
-        assert len(runs) == cfg.n_runs
+        assert builds == []
+
+    def test_each_replicate_draws_its_points_once(self, monkeypatch):
+        # Between the window's edges (phi = 0.15, R = 20) some single seeds
+        # wake nobody and some wake a neighbor; both kinds derive one stream
+        # and draw one point set.
+        streams = count_calls(monkeypatch, "replicate_rng")
+        draws = count_calls(monkeypatch, "sample_points")
+        builds = count_calls(monkeypatch, "build_rgg")
+        cfg = ExperimentConfig(**{**self.ABOVE, "phi": 0.15, "radio_range": 20.0})
+        run_replicates(cfg)
+        assert 0 < len(builds) < cfg.n_runs
+        assert len(streams) == len(draws) == cfg.n_runs
 
     def test_range_beyond_half_the_torus_builds_and_warns(self, monkeypatch):
         # On the plane the same dense cell is idle; on the torus R > L/2

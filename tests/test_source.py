@@ -66,3 +66,20 @@ def test_only_montecarlo_reads_the_cascade_window():
     # One transition pipeline: everything else asks window_boundaries.
     found = names_outside({"montecarlo.py", "__init__.py"}, {"estimate_crossing", "fit_boundary_exponent"})
     assert found == [], f"crossing or fit rules named outside montecarlo.py: {found}"
+
+
+def test_only_deploy_draws_a_replicate():
+    # One stream per replicate: only _deploy derives it and draws the
+    # points; the idle-seed probe and the response stage read them.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in ("replicate_rng", "sample_points"):
+                        found.append(f"{path.name}:{func.name} {name}")
+    assert sorted(set(found)) == ["montecarlo.py:_deploy replicate_rng", "montecarlo.py:_deploy sample_points"]
